@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race race-concurrency chaos plan-golden bench bench-smoke profile-smoke serve-bench serve-smoke ingest-smoke clean
+.PHONY: check fmt vet build perfbench-build test race race-concurrency chaos plan-golden bench bench-smoke profile-smoke serve-bench serve-smoke ingest-smoke clean
 
-check: fmt vet build race-concurrency chaos plan-golden ingest-smoke
+check: fmt vet build perfbench-build race-concurrency chaos plan-golden ingest-smoke
 
 # Fail if any file is not gofmt-clean, listing the offenders.
 fmt:
@@ -18,6 +18,12 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# The repository benchmark (perfbench/) is its own module, so `go build
+# ./...` above skips it; vet and build it here so an API change that breaks
+# its adapter fails the check instead of the next benchmark run.
+perfbench-build:
+	cd perfbench && $(GO) vet . && $(GO) build -o /dev/null .
 
 test:
 	$(GO) test ./...

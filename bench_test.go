@@ -19,6 +19,7 @@ import (
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/hive"
 	"clydesdale/internal/mr"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/ssb"
 )
@@ -197,7 +198,7 @@ func sharedEnv(b *testing.B) *queryEnv {
 	return qenv
 }
 
-func benchQuery(b *testing.B, engine func(q *ssb.Query) error, name string) {
+func benchQuery(b *testing.B, engine func(q *plan.Logical) error, name string) {
 	q, err := ssb.QueryByName(name)
 	if err != nil {
 		b.Fatal(err)
@@ -213,32 +214,32 @@ func benchQuery(b *testing.B, engine func(q *ssb.Query) error, name string) {
 // BenchmarkClydesdaleQ21 measures one Clydesdale execution of Q2.1.
 func BenchmarkClydesdaleQ21(b *testing.B) {
 	env := sharedEnv(b)
-	benchQuery(b, func(q *ssb.Query) error { _, _, err := env.cly.Execute(context.Background(), q); return err }, "Q2.1")
+	benchQuery(b, func(q *plan.Logical) error { _, _, err := env.cly.Run(context.Background(), q); return err }, "Q2.1")
 }
 
 // BenchmarkClydesdaleQ31 measures Q3.1 (three dims with a big customer
 // hash).
 func BenchmarkClydesdaleQ31(b *testing.B) {
 	env := sharedEnv(b)
-	benchQuery(b, func(q *ssb.Query) error { _, _, err := env.cly.Execute(context.Background(), q); return err }, "Q3.1")
+	benchQuery(b, func(q *plan.Logical) error { _, _, err := env.cly.Run(context.Background(), q); return err }, "Q3.1")
 }
 
 // BenchmarkClydesdaleQ43 measures Q4.3 (all four dims).
 func BenchmarkClydesdaleQ43(b *testing.B) {
 	env := sharedEnv(b)
-	benchQuery(b, func(q *ssb.Query) error { _, _, err := env.cly.Execute(context.Background(), q); return err }, "Q4.3")
+	benchQuery(b, func(q *plan.Logical) error { _, _, err := env.cly.Run(context.Background(), q); return err }, "Q4.3")
 }
 
 // BenchmarkHiveMapjoinQ21 measures the mapjoin plan on Q2.1.
 func BenchmarkHiveMapjoinQ21(b *testing.B) {
 	env := sharedEnv(b)
-	benchQuery(b, func(q *ssb.Query) error { _, _, err := env.mapj.Execute(context.Background(), q); return err }, "Q2.1")
+	benchQuery(b, func(q *plan.Logical) error { _, _, err := env.mapj.Execute(context.Background(), q); return err }, "Q2.1")
 }
 
 // BenchmarkHiveRepartitionQ21 measures the repartition plan on Q2.1.
 func BenchmarkHiveRepartitionQ21(b *testing.B) {
 	env := sharedEnv(b)
-	benchQuery(b, func(q *ssb.Query) error { _, _, err := env.repart.Execute(context.Background(), q); return err }, "Q2.1")
+	benchQuery(b, func(q *plan.Logical) error { _, _, err := env.repart.Execute(context.Background(), q); return err }, "Q2.1")
 }
 
 // ---------------------------------------------------------------------
@@ -373,12 +374,16 @@ func BenchmarkHashTableBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sh, err := plan.Decompose(q)
+	if err != nil {
+		b.Fatal(err)
+	}
 	node := env.cluster.Nodes()[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for d := range q.Dims {
-			dir := env.lay.DimPath(q.Dims[d].Table)
-			h, err := core.BuildDimHashTable(env.fs, node, dir, &q.Dims[d])
+		for d := range sh.Joins {
+			dir := env.lay.DimPath(sh.Joins[d].Table)
+			h, err := core.BuildDimHashTable(env.fs, node, dir, &sh.Joins[d])
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -470,7 +475,7 @@ func benchProbeOrder(b *testing.B, selectiveFirst bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.Execute(context.Background(), q); err != nil {
+		if _, _, err := eng.Run(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -486,18 +491,26 @@ func BenchmarkStagedVsSingleJob(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("single-job", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.Execute(context.Background(), q); err != nil {
-				b.Fatal(err)
+	single, err := core.StarPlan(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	staged := *single
+	staged.Kind = plan.KindStaged
+	for _, c := range []struct {
+		name string
+		p    *plan.Physical
+	}{{"single-job", single}, {"staged", &staged}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, rep, err := eng.RunPlan(context.Background(), c.p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Staged != (c.p.Kind == plan.KindStaged) {
+					b.Fatalf("%s ran staged=%v", c.name, rep.Staged)
+				}
 			}
-		}
-	})
-	b.Run("staged", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.ExecuteStaged(context.Background(), q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }

@@ -97,7 +97,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	feats := core.AllFeatures()
+	feats := core.DefaultFeatures()
 	feats.BlockIteration = !*noBlock
 	feats.ColumnarStorage = !*noCol
 	feats.MultiThreaded = !*noMT
@@ -151,17 +151,13 @@ func main() {
 			fatal(err)
 		}
 		l.Name = "ad-hoc"
-		q, err := core.QueryFromLogical(l)
-		if err != nil {
-			fatal(err)
-		}
-		queries = []*ssb.Query{q}
+		queries = []*plan.Logical{l}
 	case *query != "all":
 		q, err := ssb.QueryByName(*query)
 		if err != nil {
 			fatal(err)
 		}
-		queries = []*ssb.Query{q}
+		queries = []*plan.Logical{q}
 	}
 
 	if *serveMode {
@@ -171,12 +167,12 @@ func main() {
 
 	var lastJob *mr.JobResult
 	for _, q := range queries {
-		fmt.Printf("\n== %s\n", q)
+		fmt.Printf("\n== %s\n", q.Name)
 		if *explain {
 			// The cost-based chooser's verdict: chosen strategy per join
 			// with its cost, plus the rejected alternatives. The measured
 			// EXPLAIN ANALYZE profile follows after execution.
-			phys, err := eng.Plan(q)
+			phys, err := eng.PlanLogical(q)
 			if err != nil {
 				fatal(fmt.Errorf("%s: plan: %w", q.Name, err))
 			}
@@ -187,7 +183,7 @@ func main() {
 		if memSink != nil {
 			memSink.Reset()
 		}
-		rs, rep, err := eng.Execute(context.Background(), q)
+		rs, rep, err := eng.Run(context.Background(), q)
 		if err != nil {
 			fatal(err)
 		}
@@ -209,6 +205,9 @@ func main() {
 			ctr.Get(core.CtrHashTablesBuilt),
 			ctr.Get(core.CtrProbeRows), ctr.Get(core.CtrProbeEmits),
 			rep.SortTime.Round(time.Microsecond))
+		if rep.Staged {
+			fmt.Printf("-- hash tables exceeded node memory: ran the staged plan (§5.1)\n")
+		}
 		if rep.PartitionsPruned > 0 {
 			fmt.Printf("-- zone maps pruned %d partitions (%d bytes never read)\n",
 				rep.PartitionsPruned, rep.BytesSkipped)
@@ -272,7 +271,7 @@ func main() {
 // concurrency, so later queries probe the dimension tables earlier ones
 // built, then prints per-query summaries and the session's cache and
 // admission statistics.
-func runServe(mreng *mr.Engine, cat *core.Catalog, feats core.Features, queries []*ssb.Query, conc, rowsMax int, debugAddr string) {
+func runServe(mreng *mr.Engine, cat *core.Catalog, feats core.Features, queries []*plan.Logical, conc, rowsMax int, debugAddr string) {
 	sess := serve.New(mreng, cat, serve.Options{
 		Engine:        core.Options{Features: feats},
 		MaxConcurrent: conc,
@@ -297,7 +296,7 @@ func runServe(mreng *mr.Engine, cat *core.Catalog, feats core.Features, queries 
 	wallStart := time.Now()
 	for i, q := range queries {
 		wg.Add(1)
-		go func(i int, q *ssb.Query) {
+		go func(i int, q *plan.Logical) {
 			defer wg.Done()
 			start := time.Now()
 			rs, rep, err := sess.Query(context.Background(), q)
@@ -312,7 +311,7 @@ func runServe(mreng *mr.Engine, cat *core.Catalog, feats core.Features, queries 
 		if o.err != nil {
 			fatal(fmt.Errorf("%s: %w", q.Name, o.err))
 		}
-		fmt.Printf("\n== %s\n", q)
+		fmt.Printf("\n== %s\n", q.Name)
 		printed := 0
 		fmt.Println(header(o.rs.Schema.Names()))
 		for _, r := range o.rs.Rows {

@@ -17,10 +17,10 @@ import (
 	"time"
 
 	"clydesdale/internal/cluster"
-	"clydesdale/internal/core"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/hive"
 	"clydesdale/internal/mr"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/sql"
 	"clydesdale/internal/ssb"
 )
@@ -66,21 +66,17 @@ func main() {
 			fatal(err)
 		}
 		l.Name = "ad-hoc"
-		q, err := core.QueryFromLogical(l)
-		if err != nil {
-			fatal(err)
-		}
-		queries = []*ssb.Query{q}
+		queries = []*plan.Logical{l}
 	case *query != "all":
 		q, err := ssb.QueryByName(*query)
 		if err != nil {
 			fatal(err)
 		}
-		queries = []*ssb.Query{q}
+		queries = []*plan.Logical{q}
 	}
 
 	for _, q := range queries {
-		fmt.Printf("\n== %s (%s plan)\n", q, strat)
+		fmt.Printf("\n== %s (%s plan)\n", q.Name, strat)
 		rs, rep, err := eng.Execute(context.Background(), q)
 		if err != nil {
 			fmt.Printf("-- %s FAILED: %v\n", q.Name, err)

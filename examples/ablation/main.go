@@ -45,7 +45,7 @@ func main() {
 		label string
 		feats core.Features
 	}{
-		{"full Clydesdale", core.AllFeatures()},
+		{"full Clydesdale", core.DefaultFeatures()},
 		{"- block iteration", core.Features{ColumnarStorage: true, BlockIteration: false, MultiThreaded: true, InMapperCombining: true}},
 		{"- columnar storage", core.Features{ColumnarStorage: false, BlockIteration: true, MultiThreaded: true, InMapperCombining: true}},
 		{"- multi-threading", core.Features{ColumnarStorage: true, BlockIteration: true, MultiThreaded: false, InMapperCombining: true}},
@@ -60,7 +60,7 @@ func main() {
 		eng := core.New(engine, lay.Catalog(), core.Options{Features: feats})
 
 		before := fs.Metrics().Snapshot()
-		_, rep, err := eng.Execute(context.Background(), q)
+		_, rep, err := eng.Run(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}

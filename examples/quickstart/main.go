@@ -11,10 +11,10 @@ import (
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/core"
-	"clydesdale/internal/expr"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/records"
+	"clydesdale/internal/sql"
 )
 
 func main() {
@@ -72,6 +72,7 @@ func main() {
 
 	// 4. Describe the star schema and build the engine.
 	cat := &core.Catalog{
+		FactName:   "sales",
 		FactDir:    "/shop/sales",
 		FactSchema: sales,
 		DimDirs:    map[string]string{"products": "/shop/products"},
@@ -79,25 +80,16 @@ func main() {
 	}
 	engine := core.New(mr.NewEngine(c, fs, mr.Options{}), cat, core.Options{})
 
-	// 5. SELECT p.name, SUM(s.amount) FROM sales s JOIN products p
-	//    ON s.product_id = p.id WHERE p.category = 'drinks'
-	//    GROUP BY p.name ORDER BY p.name
-	q := &core.Query{
-		Name: "drinks-revenue",
-		Dims: []core.DimSpec{{
-			Table:  "products",
-			Schema: products,
-			FactFK: "product_id",
-			DimPK:  "id",
-			Pred:   expr.Eq(expr.Col("category"), expr.ConstStr("drinks")),
-			Aux:    []string{"name"},
-		}},
-		AggExpr: expr.Col("amount"),
-		AggName: "revenue",
-		GroupBy: []string{"name"},
-		OrderBy: []core.OrderKey{{Col: "name"}},
+	// 5. Bind the query against the catalog and run it.
+	q, err := sql.Parse(`SELECT name, SUM(amount) AS revenue
+		FROM sales, products
+		WHERE product_id = id AND category = 'drinks'
+		GROUP BY name ORDER BY name`, cat)
+	if err != nil {
+		log.Fatal(err)
 	}
-	rs, report, err := engine.Execute(context.Background(), q)
+	q.Name = "drinks-revenue"
+	rs, report, err := engine.Run(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,12 +14,12 @@ import (
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/core"
-	"clydesdale/internal/expr"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/hive"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/records"
 	"clydesdale/internal/results"
+	"clydesdale/internal/sql"
 )
 
 var (
@@ -30,18 +30,20 @@ var (
 		records.F("units", records.KindInt64),
 		records.F("revenue", records.KindFloat64),
 	)
+	// Column names are unique across the star (the SQL binder has no table
+	// qualifiers), so each dimension key is named apart from its fact FK.
 	storeSchema = records.NewSchema(
-		records.F("store_id", records.KindInt64),
+		records.F("store_key", records.KindInt64),
 		records.F("store_name", records.KindString),
 		records.F("region", records.KindString),
 	)
 	itemSchema = records.NewSchema(
-		records.F("item_id", records.KindInt64),
+		records.F("item_key", records.KindInt64),
 		records.F("item_name", records.KindString),
 		records.F("dept", records.KindString),
 	)
 	calSchema = records.NewSchema(
-		records.F("day_id", records.KindInt64),
+		records.F("day_key", records.KindInt64),
 		records.F("month", records.KindInt64),
 		records.F("quarter", records.KindString),
 	)
@@ -62,6 +64,7 @@ func main() {
 	}
 
 	cat := &core.Catalog{
+		FactName:   "sales",
 		FactDir:    "/retail/sales",
 		FactSchema: salesSchema,
 		DimDirs: map[string]string{
@@ -79,49 +82,32 @@ func main() {
 	cly := core.New(engine, cat, core.Options{})
 	hv := hive.New(engine, &rcCat, hive.Options{Strategy: hive.MapJoin})
 
-	queries := []*core.Query{
-		{
-			// Quarterly revenue of the WEST region's grocery department.
-			Name: "grocery-west-by-quarter",
-			Dims: []core.DimSpec{
-				{Table: "store", Schema: storeSchema, FactFK: "store_id", DimPK: "store_id",
-					Pred: expr.Eq(expr.Col("region"), expr.ConstStr("WEST"))},
-				{Table: "item", Schema: itemSchema, FactFK: "item_id", DimPK: "item_id",
-					Pred: expr.Eq(expr.Col("dept"), expr.ConstStr("grocery"))},
-				{Table: "calendar", Schema: calSchema, FactFK: "day_id", DimPK: "day_id",
-					Aux: []string{"quarter"}},
-			},
-			AggExpr: expr.Col("revenue"), AggName: "revenue",
-			GroupBy: []string{"quarter"},
-			OrderBy: []core.OrderKey{{Col: "quarter"}},
-		},
-		{
-			// Units moved per department in Q2, big departments first.
-			Name: "q2-units-by-dept",
-			Dims: []core.DimSpec{
-				{Table: "item", Schema: itemSchema, FactFK: "item_id", DimPK: "item_id",
-					Aux: []string{"dept"}},
-				{Table: "calendar", Schema: calSchema, FactFK: "day_id", DimPK: "day_id",
-					Pred: expr.Eq(expr.Col("quarter"), expr.ConstStr("Q2"))},
-			},
-			AggExpr: expr.Col("units"), AggName: "units",
-			GroupBy: []string{"dept"},
-			OrderBy: []core.OrderKey{{Col: "units", Desc: true}},
-		},
-		{
-			// Total revenue of high-volume rows (fact predicate only).
-			Name: "bulk-revenue",
-			Dims: []core.DimSpec{
-				{Table: "store", Schema: storeSchema, FactFK: "store_id", DimPK: "store_id"},
-			},
-			FactPred: expr.Ge(expr.Col("units"), expr.ConstInt(8)),
-			AggExpr:  expr.Col("revenue"), AggName: "revenue",
-		},
+	queries := []struct{ name, text string }{
+		// Quarterly revenue of the WEST region's grocery department.
+		{"grocery-west-by-quarter", `SELECT quarter, SUM(revenue) AS revenue
+			FROM sales, store, item, calendar
+			WHERE store_id = store_key AND item_id = item_key AND day_id = day_key
+			  AND region = 'WEST' AND dept = 'grocery'
+			GROUP BY quarter ORDER BY quarter`},
+		// Units moved per department in Q2, big departments first.
+		{"q2-units-by-dept", `SELECT dept, SUM(units) AS units
+			FROM sales, item, calendar
+			WHERE item_id = item_key AND day_id = day_key AND quarter = 'Q2'
+			GROUP BY dept ORDER BY units DESC`},
+		// Total revenue of high-volume rows (fact predicate only).
+		{"bulk-revenue", `SELECT SUM(revenue) AS revenue
+			FROM sales, store
+			WHERE store_id = store_key AND units >= 8`},
 	}
 
-	for _, q := range queries {
+	for _, qt := range queries {
+		q, err := sql.Parse(qt.text, cat)
+		if err != nil {
+			log.Fatal(err)
+		}
+		q.Name = qt.name
 		fmt.Printf("\n== %s\n", q.Name)
-		rs, crep, err := cly.Execute(context.Background(), q)
+		rs, crep, err := cly.Run(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}

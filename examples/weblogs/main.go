@@ -13,10 +13,10 @@ import (
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/core"
-	"clydesdale/internal/expr"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/records"
+	"clydesdale/internal/sql"
 )
 
 var (
@@ -26,12 +26,14 @@ var (
 		records.F("day_id", records.KindInt64),
 		records.F("dwell_ms", records.KindInt64),
 	)
+	// Column names are unique across the star (the SQL binder has no table
+	// qualifiers), so the dimension keys are named apart from the fact FKs.
 	pageSchema = records.NewSchema(
-		records.F("page_id", records.KindInt64),
+		records.F("page_key", records.KindInt64),
 		records.F("section", records.KindString),
 	)
 	userSchema = records.NewSchema(
-		records.F("user_id", records.KindInt64),
+		records.F("user_key", records.KindInt64),
 		records.F("tier", records.KindString),
 	)
 )
@@ -77,6 +79,7 @@ func main() {
 	}
 
 	cat := &core.Catalog{
+		FactName:   "clicks",
 		FactDir:    "/web/clicks",
 		FactSchema: clickSchema,
 		DimDirs:    map[string]string{"page": "/web/page", "user": "/web/user"},
@@ -85,21 +88,17 @@ func main() {
 	engine := core.New(mr.NewEngine(c, fs, mr.Options{}), cat, core.Options{})
 
 	// Dwell time of paid users per section.
-	q := &core.Query{
-		Name: "paid-dwell-by-section",
-		Dims: []core.DimSpec{
-			{Table: "page", Schema: pageSchema, FactFK: "page_id", DimPK: "page_id",
-				Aux: []string{"section"}},
-			{Table: "user", Schema: userSchema, FactFK: "user_id", DimPK: "user_id",
-				Pred: expr.Eq(expr.Col("tier"), expr.ConstStr("paid"))},
-		},
-		AggExpr: expr.Col("dwell_ms"), AggName: "dwell_ms",
-		GroupBy: []string{"section"},
-		OrderBy: []core.OrderKey{{Col: "dwell_ms", Desc: true}},
+	q, err := sql.Parse(`SELECT section, SUM(dwell_ms) AS dwell
+		FROM clicks, page, user
+		WHERE page_id = page_key AND user_id = user_key AND tier = 'paid'
+		GROUP BY section ORDER BY dwell DESC`, cat)
+	if err != nil {
+		log.Fatal(err)
 	}
+	q.Name = "paid-dwell-by-section"
 
 	run := func(label string) {
-		rs, rep, err := engine.Execute(context.Background(), q)
+		rs, rep, err := engine.Run(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -107,7 +106,7 @@ func main() {
 		fmt.Printf("\n%s (%d CIF partitions, %d rows probed):\n", label,
 			len(parts), rep.Job.Counters.Get(core.CtrProbeRows))
 		for _, row := range rs.Rows {
-			fmt.Printf("  %-8s %12d ms\n", row.Get("section").Str(), int64(row.Get("dwell_ms").Float64()))
+			fmt.Printf("  %-8s %12d ms\n", row.Get("section").Str(), int64(row.Get("dwell").Float64()))
 		}
 	}
 	run("after day 1")

@@ -16,6 +16,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -25,6 +26,7 @@ import (
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/hive"
 	"clydesdale/internal/mr"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/ssb"
 )
@@ -112,7 +114,7 @@ type Harness struct {
 	// open-addressing layout (what a Clydesdale node holds resident);
 	// hashMax caches the largest single dimension's table under the boxed
 	// mapjoin layout (what one mapjoin task holds) — two different
-	// estimators because the two engines build different structures.
+	// footprints because the two engines build different structures.
 	hashSum map[string]int64
 	hashMax map[string]int64
 }
@@ -138,20 +140,18 @@ func (h *Harness) estimateHashSizes() error {
 	h.hashMax = make(map[string]int64)
 	each := func(tbl string, fn func(records.Record) error) error { return h.gen.Each(tbl, fn) }
 	for _, q := range ssb.Queries() {
-		per, err := core.EstimateDimHashBytes(q, each)
+		sh, err := plan.Decompose(q)
 		if err != nil {
 			return err
 		}
-		for _, b := range per {
-			h.hashSum[q.Name] += b
-		}
-		mjPer, err := hive.EstimateMapJoinHashBytes(q, each)
+		per, err := core.EstimateDimStats(sh.Joins, each)
 		if err != nil {
 			return err
 		}
-		for _, b := range mjPer {
-			if b > h.hashMax[q.Name] {
-				h.hashMax[q.Name] = b
+		for _, ts := range per {
+			h.hashSum[q.Name] += ts.HashBytes
+			if ts.MapJoinBytes > h.hashMax[q.Name] {
+				h.hashMax[q.Name] = ts.MapJoinBytes
 			}
 		}
 	}
@@ -295,4 +295,19 @@ func (h *Harness) logf(w io.Writer, format string, args ...any) {
 	if h.cfg.Verbose && w != nil {
 		fmt.Fprintf(w, format, args...)
 	}
+}
+
+// runStar runs one query on Clydesdale's single-pass star join. Engine.Run
+// falls back to the staged plan when the hash tables exceed node memory; a
+// figure that silently timed the fallback would misreport the single-job
+// plan, so here the fallback is an out-of-memory error.
+func runStar(e *core.Engine, q *plan.Logical) (*core.Report, error) {
+	_, rep, err := e.Run(context.Background(), q)
+	if err != nil {
+		return nil, err
+	}
+	if rep.Staged {
+		return nil, fmt.Errorf("bench: %s ran the staged fallback: %w", q.Name, core.ErrOOM)
+	}
+	return rep, nil
 }

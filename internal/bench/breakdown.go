@@ -71,7 +71,7 @@ func (h *Harness) RunBreakdown(queryName string, w io.Writer) (*BreakdownResult,
 	env.MR.SetTracer(obs.NewTracer(sink))
 
 	before := env.FS.Metrics().Snapshot()
-	_, crep, err := env.Clydesdale(core.DefaultFeatures()).Execute(context.Background(), q)
+	crep, err := runStar(env.Clydesdale(core.DefaultFeatures()), q)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/core"
 	"clydesdale/internal/hive"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/ssb"
 )
 
@@ -83,13 +84,7 @@ func (h *Harness) RunFigure(profile string, w io.Writer) (*FigureResult, error) 
 		h.logf(w, "# %s on cluster %s\n", q.Name, profile)
 		row := QueryRow{Query: q.Name}
 
-		t, err := h.medianTime(func() (time.Duration, error) {
-			_, rep, err := cly.Execute(context.Background(), q)
-			if err != nil {
-				return 0, err
-			}
-			return rep.Total, nil
-		})
+		t, err := h.timeQuery(cly, q)
 		if err != nil {
 			return nil, fmt.Errorf("bench: clydesdale %s: %w", q.Name, err)
 		}
@@ -250,9 +245,10 @@ func (h *Harness) RunFigure9(w io.Writer) (*AblationResult, error) {
 	return out, nil
 }
 
-func (h *Harness) timeQuery(e *core.Engine, q *core.Query) (time.Duration, error) {
+// timeQuery is the median single-pass star-join time of q on e.
+func (h *Harness) timeQuery(e *core.Engine, q *plan.Logical) (time.Duration, error) {
 	return h.medianTime(func() (time.Duration, error) {
-		_, rep, err := e.Execute(context.Background(), q)
+		rep, err := runStar(e, q)
 		if err != nil {
 			return 0, err
 		}

@@ -14,6 +14,7 @@ import (
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
@@ -117,19 +118,15 @@ func RunIngestSmoke(cfg IngestSmokeConfig, w io.Writer) (*IngestSmokeResult, err
 
 	// check holds one query to the reference over base + extras-so-far.
 	checks := 0
-	check := func(q *core.Query) error {
+	check := func(q *plan.Logical) error {
 		rs, _, err := s.Query(context.Background(), q)
 		if err != nil {
 			return fmt.Errorf("bench: ingest smoke %s: %w", q.Name, err)
 		}
-		l, err := core.LogicalOf(q, cat)
-		if err != nil {
-			return err
-		}
 		extrasMu.Lock()
 		snap := append([]records.Record(nil), extras...)
 		extrasMu.Unlock()
-		want, err := refexec.RunLogical(l, func(table string, fn func(records.Record) error) error {
+		want, err := refexec.RunLogical(q, func(table string, fn func(records.Record) error) error {
 			if err := gen.Each(table, fn); err != nil {
 				return err
 			}
@@ -164,7 +161,7 @@ func RunIngestSmoke(cfg IngestSmokeConfig, w io.Writer) (*IngestSmokeResult, err
 		for i := 0; i < 2; i++ {
 			q := queries[(b*2+i)%len(queries)]
 			qwg.Add(1)
-			go func(q *core.Query) {
+			go func(q *plan.Logical) {
 				defer qwg.Done()
 				if _, _, err := s.Query(context.Background(), q); err != nil {
 					qmu.Lock()

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -106,10 +105,10 @@ func RunProbeBench(factRows int64, workers int, seed uint64, w io.Writer) (*Prob
 			"Query", "total_ns", "probe_ns", "build_ns", "rows", "emits", "code_rows", "ns/row")
 	}
 	for _, q := range ssb.Queries() {
-		if _, _, err := eng.Execute(context.Background(), q); err != nil { // warm-up
+		if _, err := runStar(eng, q); err != nil { // warm-up
 			return nil, fmt.Errorf("bench: probe warm-up %s: %w", q.Name, err)
 		}
-		_, rep, err := eng.Execute(context.Background(), q)
+		rep, err := runStar(eng, q)
 		if err != nil {
 			return nil, fmt.Errorf("bench: probe %s: %w", q.Name, err)
 		}

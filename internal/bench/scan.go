@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +11,7 @@ import (
 	"clydesdale/internal/core"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/serve"
 	"clydesdale/internal/ssb"
 )
@@ -136,13 +136,13 @@ func RunScanBench(factRows int64, workers int, seed uint64, w io.Writer) (*ScanB
 	// minimum would report the lucky outlier. Counters are deterministic
 	// across runs, so which run is kept only affects the timing.
 	const benchRuns = 9
-	measure := func(eng *core.Engine, q *core.Query) (ScanRunStats, error) {
-		if _, _, err := eng.Execute(context.Background(), q); err != nil { // warm-up
+	measure := func(eng *core.Engine, q *plan.Logical) (ScanRunStats, error) {
+		if _, err := runStar(eng, q); err != nil { // warm-up
 			return ScanRunStats{}, err
 		}
 		runs := make([]ScanRunStats, 0, benchRuns)
 		for run := 0; run < benchRuns; run++ {
-			_, rep, err := eng.Execute(context.Background(), q)
+			rep, err := runStar(eng, q)
 			if err != nil {
 				return ScanRunStats{}, err
 			}

@@ -8,19 +8,20 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/core"
-	"clydesdale/internal/expr"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
-	"clydesdale/internal/records"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
 	"clydesdale/internal/serve"
+	"clydesdale/internal/sql"
 	"clydesdale/internal/ssb"
 )
 
@@ -195,7 +196,7 @@ type arrival struct {
 	at     time.Duration
 	tenant string
 	class  string
-	q      *core.Query
+	q      *plan.Logical
 }
 
 // buildSchedule precomputes the Poisson arrival schedule from the seed. The
@@ -236,8 +237,8 @@ func buildSchedule(cfg ServeBenchConfig) []arrival {
 	}
 }
 
-func flightQueries(names ...string) []*core.Query {
-	out := make([]*core.Query, len(names))
+func flightQueries(names ...string) []*plan.Logical {
+	out := make([]*plan.Logical, len(names))
 	for i, n := range names {
 		q, err := ssb.QueryByName(n)
 		if err != nil {
@@ -307,10 +308,9 @@ func (e *serveBenchEnv) runPass(policy string, sched []arrival, withTenants, cac
 	}
 	if cacheOn {
 		// The cache passes measure fair-share + caching on repeats within
-		// the window, not leftovers of the warmup.
-		for _, q := range flightQueries("Q1.1", "Q1.2", "Q1.3", "Q4.1", "Q4.2", "Q4.3") {
-			s.InvalidateTable(q.Dims[0].Table)
-		}
+		// the window, not leftovers of the warmup. Every warmup query
+		// joins the date dimension, so invalidating it drops them all.
+		s.InvalidateTable(ssb.TableDate)
 	}
 	reg := obs.NewRegistry()
 	mrEng.SetMetrics(reg)
@@ -383,7 +383,7 @@ func (e *serveBenchEnv) runPass(policy string, sched []arrival, withTenants, cac
 		if err != nil {
 			return nil, err
 		}
-		want, err := refexec.Run(e.gen, q)
+		want, err := refexec.RunLogical(q, e.gen.Each)
 		if err != nil {
 			return nil, err
 		}
@@ -438,20 +438,20 @@ func (e *serveBenchEnv) runPass(policy string, sched []arrival, withTenants, cac
 // narrowQ41 derives a strictly-narrower Q4.1: the extra d_year conjunct
 // reads only a group-by column, so a cached broad Q4.1 answers it by
 // post-filtering group rows (the subsumption rule).
-func narrowQ41() (*core.Query, error) {
-	broad, err := ssb.QueryByName("Q4.1")
-	if err != nil {
-		return nil, err
+func narrowQ41() (*plan.Logical, error) {
+	for _, q := range ssb.QuerySQL {
+		if q.Name != "Q4.1" {
+			continue
+		}
+		text := strings.Replace(q.Text, "GROUP BY", "AND d_year IN (1997, 1998) GROUP BY", 1)
+		l, err := sql.Parse(text, ssb.SchemaCatalog())
+		if err != nil {
+			return nil, err
+		}
+		l.Name = "Q4.1" // same SLO class; the plan fingerprint tells them apart
+		return l, nil
 	}
-	q := *broad
-	q.Name = "Q4.1" // same SLO class; the plan fingerprint tells them apart
-	q.Dims = append([]core.DimSpec(nil), broad.Dims...)
-	d := &q.Dims[0] // the date dimension (no predicate in broad Q4.1)
-	if d.Pred != nil {
-		return nil, fmt.Errorf("bench: Q4.1 date dim grew a predicate; narrowQ41 needs updating")
-	}
-	d.Pred = expr.In(expr.Col("d_year"), records.Int(1997), records.Int(1998))
-	return &q, nil
+	return nil, fmt.Errorf("bench: no Q4.1 in the SSB query set")
 }
 
 // runCachePhase measures the result cache directly: a cold pass over the
@@ -466,8 +466,8 @@ func (e *serveBenchEnv) runCachePhase() (ResultCachePhase, error) {
 	jobs := func() int64 { return reg.Counter("mr.jobs_submitted").Value() }
 
 	queries := flightQueries("Q1.1", "Q1.2", "Q1.3", "Q4.1", "Q4.2", "Q4.3")
-	check := func(q *core.Query, rs *results.ResultSet) error {
-		want, err := refexec.Run(e.gen, q)
+	check := func(q *plan.Logical, rs *results.ResultSet) error {
+		want, err := refexec.RunLogical(q, e.gen.Each)
 		if err != nil {
 			return err
 		}
@@ -480,7 +480,7 @@ func (e *serveBenchEnv) runCachePhase() (ResultCachePhase, error) {
 	// The equivalence oracle (a full driver-side scan) runs outside the
 	// timed windows so Cold/WarmNs measure serving, not verification.
 	type served struct {
-		q  *core.Query
+		q  *plan.Logical
 		rs *results.ResultSet
 	}
 	var toCheck []served

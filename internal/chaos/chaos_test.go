@@ -184,13 +184,13 @@ func TestChaosOracleAllQueries(t *testing.T) {
 
 			eng := core.New(e.mr, e.lay.Catalog(), tc.opts)
 			for _, q := range ssb.Queries() {
-				rs, _, err := eng.Execute(context.Background(), q)
+				rs, _, err := eng.Run(context.Background(), q)
 				if err != nil {
 					// None of these plans lose data (replication 3, one
 					// fault), so any error is a recovery bug.
 					t.Fatalf("%s: %v", q.Name, err)
 				}
-				want, err := refexec.Run(e.gen, q)
+				want, err := refexec.RunLogical(q, e.gen.Each)
 				if err != nil {
 					t.Fatalf("%s ref: %v", q.Name, err)
 				}
@@ -232,11 +232,11 @@ func TestChaosAllReplicasCorrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, _, err := eng.Execute(context.Background(), q)
+	rs, _, err := eng.Run(context.Background(), q)
 	if err == nil {
 		// The only acceptable success is a correct one (e.g. if the engine
 		// re-reads a healed copy); silent corruption is the failure mode.
-		want, rerr := refexec.Run(e.gen, q)
+		want, rerr := refexec.RunLogical(q, e.gen.Each)
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
@@ -385,12 +385,12 @@ func TestRecoveryOverheadReport(t *testing.T) {
 				t.Fatal(err)
 			}
 			start := time.Now()
-			rs, _, err := eng.Execute(context.Background(), q)
+			rs, _, err := eng.Run(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			times[name] = time.Since(start)
-			want, err := refexec.Run(e.gen, q)
+			want, err := refexec.RunLogical(q, e.gen.Each)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,11 +42,11 @@ func TestSlowDiskStragglerProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, rep, err := eng.Execute(context.Background(), q)
+	rs, rep, err := eng.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := refexec.Run(e.gen, q)
+	want, err := refexec.RunLogical(q, e.gen.Each)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,29 +7,21 @@ import (
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/expr"
 	"clydesdale/internal/mr"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/results"
 )
 
-// aggJobSpec parameterizes the final grouped-SUM job shared by the staged
-// and cascade executors, which both feed it a row-table intermediate.
-type aggJobSpec struct {
-	name         string
-	agg          expr.Expr
-	gschema      *records.Schema
-	groupBy      []string
-	resultSchema *records.Schema
-}
-
-// runAggJob sums the measure grouped by the group-by columns over a
-// row-table directory.
-func (e *Engine) runAggJob(ctx context.Context, spec aggJobSpec, inDir string, inSchema *records.Schema) (*results.ResultSet, *mr.JobResult, error) {
-	aggFn, err := expr.CompileNum(spec.agg, inSchema)
+// runAggJob is the final grouped-SUM job shared by the staged and cascade
+// executors: it sums the shape's measure grouped by its group-by columns
+// over a row-table intermediate.
+func (e *Engine) runAggJob(ctx context.Context, name string, sh *plan.Shape, inDir string, inSchema *records.Schema) (*results.ResultSet, *mr.JobResult, error) {
+	aggFn, err := expr.CompileNum(sh.Agg, inSchema)
 	if err != nil {
 		return nil, nil, err
 	}
-	gIdx := make([]int, len(spec.groupBy))
-	for i, g := range spec.groupBy {
+	gIdx := make([]int, len(sh.GroupBy))
+	for i, g := range sh.GroupBy {
 		j := inSchema.Index(g)
 		if j < 0 {
 			return nil, nil, fmt.Errorf("core: aggregation input lacks group column %s", g)
@@ -37,17 +29,17 @@ func (e *Engine) runAggJob(ctx context.Context, spec aggJobSpec, inDir string, i
 		gIdx[i] = j
 	}
 	numReduce := e.opts.Reducers
-	if len(spec.groupBy) == 0 {
+	if len(sh.GroupBy) == 0 {
 		numReduce = 1
 	}
 	conf := mr.NewJobConf()
 	if e.opts.Speculative {
 		conf.SetBool(mr.ConfSpeculative, true)
 	}
-	gschema := spec.gschema
+	gschema := sh.GroupSchema()
 	out := &mr.MemoryOutput{}
 	job := &mr.Job{
-		Name:   spec.name,
+		Name:   name,
 		Conf:   conf,
 		Input:  &colstore.RowInput{Dir: inDir, Schema: inSchema},
 		Output: out,
@@ -71,7 +63,7 @@ func (e *Engine) runAggJob(ctx context.Context, spec aggJobSpec, inDir string, i
 	if err != nil {
 		return nil, nil, err
 	}
-	return collectRows(spec.resultSchema, len(spec.groupBy) > 0, out), res, nil
+	return collectRows(sh.ResultSchema(), len(sh.GroupBy) > 0, out), res, nil
 }
 
 // collectRows turns grouped-SUM reduce output into a result set.

@@ -51,18 +51,14 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 		buckets = 1
 	}
 
-	// The synthetic head query drives the star machinery: dimension cache
-	// dissemination, FK prune hints, and the fact predicate.
-	headQ := &Query{Name: sh.Name, FactPred: sh.FactPred, AggExpr: sh.Agg, AggName: sh.AggName}
-	for i := 0; i < head; i++ {
-		st := &p.Steps[i]
-		headQ.Dims = append(headQ.Dims, DimSpec{
-			Table: st.Table, Schema: st.Schema, FactFK: st.FK, DimPK: st.PK,
-			Pred: st.Pred, Aux: append([]string(nil), st.Aux...),
-		})
+	// The depth-1 head edges drive the star machinery: dimension cache
+	// dissemination, FK prune hints, and the star pass's hash tables.
+	headEdges := make([]plan.JoinEdge, head)
+	for i := range headEdges {
+		headEdges[i] = p.Steps[i].JoinEdge
 	}
 	cacheDone := e.phaseSpan(ctx, obs.PhaseDimCache)
-	if _, err := EnsureCatalogCachedFor(e.mr.FS(), e.cat, headQ); err != nil {
+	if _, err := EnsureCatalogCachedFor(e.mr.FS(), e.cat, headEdges); err != nil {
 		cacheDone()
 		return nil, nil, err
 	}
@@ -78,7 +74,7 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 	// bucketed on the first deep join key.
 	curDir := tmp + "/pass-1"
 	curSchema := p.Steps[head-1].Out
-	res, err := e.runCascadeStarPass(ctx, p, headQ, head, curDir, curSchema, buckets)
+	res, err := e.runCascadeStarPass(ctx, p, headEdges, curDir, curSchema, buckets)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s cascade star pass: %w", sh.Name, err)
 	}
@@ -110,13 +106,7 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 		curDir, curSchema = outDir, st.Out
 	}
 
-	rs, res, err := e.runAggJob(ctx, aggJobSpec{
-		name:         "clydesdale-cascade-agg-" + sh.Name,
-		agg:          sh.Agg,
-		gschema:      sh.GroupSchema(),
-		groupBy:      sh.GroupBy,
-		resultSchema: sh.ResultSchema(),
-	}, curDir, curSchema)
+	rs, res, err := e.runAggJob(ctx, "clydesdale-cascade-agg-"+sh.Name, sh, curDir, curSchema)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s cascade aggregation: %w", sh.Name, err)
 	}
@@ -124,14 +114,8 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 	agg.Add(CtrCascadePasses, int64(report.CascadePasses))
 
 	sortStart := time.Now()
-	orders := make([]results.Order, 0, len(sh.GroupBy))
-	for _, o := range sh.Orders() {
-		orders = append(orders, results.Order{Col: o.Col, Desc: o.Desc})
-	}
-	if len(orders) > 0 {
-		if err := rs.Sort(orders); err != nil {
-			return nil, nil, err
-		}
+	if err := sortResult(rs, sh); err != nil {
+		return nil, nil, err
 	}
 	report.SortTime = time.Since(sortStart)
 	report.Total = time.Since(start)
@@ -143,7 +127,8 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 // runCascadeStarPass joins the fact scan with every depth-1 dimension in
 // one map-only job (per-node shared hash tables, early-out probes) and
 // writes the output bucketed on the first deep join key.
-func (e *Engine) runCascadeStarPass(ctx context.Context, p *plan.Physical, headQ *Query, head int, outDir string, outSchema *records.Schema, buckets int) (*mr.JobResult, error) {
+func (e *Engine) runCascadeStarPass(ctx context.Context, p *plan.Physical, headEdges []plan.JoinEdge, outDir string, outSchema *records.Schema, buckets int) (*mr.JobResult, error) {
+	sh := p.Shape
 	inSchema := p.Steps[0].In
 	readCols := inSchema.Names()
 	if !e.feats.ColumnarStorage {
@@ -156,7 +141,7 @@ func (e *Engine) runCascadeStarPass(ctx context.Context, p *plan.Physical, headQ
 	}
 	var hints []expr.Pred
 	if !e.opts.NoScanPruning {
-		hints = e.fkPruneHints(headQ)
+		hints = e.fkPruneHints(headEdges)
 	}
 	// The cascade reads the fact table in its star pass only; deeper passes
 	// consume bucketed intermediates. Pin the partition list for this pass.
@@ -168,35 +153,33 @@ func (e *Engine) runCascadeStarPass(ctx context.Context, p *plan.Physical, headQ
 	input := &colstore.CIFInput{
 		Dir: e.cat.FactDir, Columns: readCols, Schema: e.cat.FactSchema, BlockRows: e.opts.BlockRows,
 		Snapshot: snap.Parts,
-		Pred:     headQ.FactPred, PrunePreds: hints, EagerColumns: factFKs(headQ),
+		Pred:     sh.FactPred, PrunePreds: hints, EagerColumns: factFKs(headEdges),
 		DisablePruning: e.opts.NoScanPruning, DisableLateMat: true,
 	}
 
 	var factPred expr.RowPred
-	if headQ.FactPred != nil {
-		fp, err := expr.CompilePred(headQ.FactPred, inSchema)
+	if sh.FactPred != nil {
+		fp, err := expr.CompilePred(sh.FactPred, inSchema)
 		if err != nil {
 			return nil, err
 		}
 		factPred = fp
 	}
-	specs := make([]*DimSpec, head)
-	dimDirs := make([]string, head)
-	fkIdx := make([]int, head)
-	for i := 0; i < head; i++ {
-		spec := headQ.Dims[i]
-		specs[i] = &spec
-		dir, err := e.cat.DimDir(spec.Table)
+	dimDirs := make([]string, len(headEdges))
+	fkIdx := make([]int, len(headEdges))
+	for i := range headEdges {
+		edge := &headEdges[i]
+		dir, err := e.cat.DimDir(edge.Table)
 		if err != nil {
 			return nil, err
 		}
 		dimDirs[i] = dir
-		fkIdx[i] = inSchema.Index(spec.FactFK)
+		fkIdx[i] = inSchema.Index(edge.FK)
 		if fkIdx[i] < 0 {
-			return nil, fmt.Errorf("core: cascade fact read lacks FK %s", spec.FactFK)
+			return nil, fmt.Errorf("core: cascade fact read lacks FK %s", edge.FK)
 		}
 	}
-	srcs, err := outputSources(outSchema, inSchema, specs)
+	srcs, err := outputSources(outSchema, inSchema, headEdges)
 	if err != nil {
 		return nil, err
 	}
@@ -212,15 +195,15 @@ func (e *Engine) runCascadeStarPass(ctx context.Context, p *plan.Physical, headQ
 		conf.SetInt(mr.ConfMapThreads, int64(cfg.MapSlots))
 	}
 	job := &mr.Job{
-		Name:  "clydesdale-cascade-" + headQ.Name + "-star",
+		Name:  "clydesdale-cascade-" + sh.Name + "-star",
 		Conf:  conf,
 		Input: input,
 		Output: &colstore.BucketRowOutput{
-			Dir: outDir, Schema: outSchema, KeyCol: p.Steps[head].FK, Buckets: buckets,
+			Dir: outDir, Schema: outSchema, KeyCol: p.Steps[len(headEdges)].FK, Buckets: buckets,
 		},
 		NewMapper: func() mr.Mapper {
 			return &cascadeStarMapper{
-				eng: eng, specs: specs, dimDirs: dimDirs, group: group,
+				eng: eng, edges: headEdges, dimDirs: dimDirs, group: group,
 				factPred: factPred, fkIdx: fkIdx, srcs: srcs, outSchema: outSchema,
 			}
 		},
@@ -233,13 +216,13 @@ func (e *Engine) runCascadeStarPass(ctx context.Context, p *plan.Physical, headQ
 // a dimension aux column.
 type outputSource struct {
 	factIdx int // >= 0: index in the probe stream's schema
-	dim     int // else: specs[dim].Aux[aux]
+	dim     int // else: edges[dim].Aux[aux]
 	aux     int
 }
 
 // outputSources maps every field of out onto the probe stream or a
 // dimension's aux payload.
-func outputSources(out, in *records.Schema, specs []*DimSpec) ([]outputSource, error) {
+func outputSources(out, in *records.Schema, edges []plan.JoinEdge) ([]outputSource, error) {
 	srcs := make([]outputSource, out.Len())
 	for i := 0; i < out.Len(); i++ {
 		name := out.Field(i).Name
@@ -248,8 +231,8 @@ func outputSources(out, in *records.Schema, specs []*DimSpec) ([]outputSource, e
 			continue
 		}
 		found := false
-		for d, spec := range specs {
-			for a, auxCol := range spec.Aux {
+		for d := range edges {
+			for a, auxCol := range edges[d].Aux {
 				if auxCol == name {
 					srcs[i] = outputSource{factIdx: -1, dim: d, aux: a}
 					found = true
@@ -272,7 +255,7 @@ func outputSources(out, in *records.Schema, specs []*DimSpec) ([]outputSource, e
 // carried row instead of aggregating.
 type cascadeStarMapper struct {
 	eng       *Engine
-	specs     []*DimSpec
+	edges     []plan.JoinEdge
 	dimDirs   []string
 	group     *nodeTableGroup
 	factPred  expr.RowPred
@@ -289,9 +272,9 @@ type cascadeStarMapper struct {
 func (m *cascadeStarMapper) Setup(ctx *mr.TaskContext) error {
 	build := func() ([]*DimHashTable, error) {
 		start := time.Now()
-		hts := make([]*DimHashTable, len(m.specs))
-		for i, spec := range m.specs {
-			h, err := BuildDimHashTable(ctx.FS, ctx.Node(), m.dimDirs[i], spec)
+		hts := make([]*DimHashTable, len(m.edges))
+		for i := range m.edges {
+			h, err := BuildDimHashTable(ctx.FS, ctx.Node(), m.dimDirs[i], &m.edges[i])
 			if err != nil {
 				return nil, err
 			}

@@ -9,7 +9,7 @@ import (
 	"clydesdale/internal/core"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
-	"clydesdale/internal/records"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
 	"clydesdale/internal/ssb"
@@ -46,11 +46,11 @@ func TestAllQueriesMatchReference(t *testing.T) {
 	e := newEnv(t, 3, 0.002)
 	eng := e.engine(core.Options{})
 	for _, q := range ssb.Queries() {
-		rs, rep, err := eng.Execute(context.Background(), q)
+		rs, rep, err := eng.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		want, err := refexec.Run(e.gen, q)
+		want, err := refexec.RunLogical(q, e.gen.Each)
 		if err != nil {
 			t.Fatalf("%s ref: %v", q.Name, err)
 		}
@@ -82,12 +82,12 @@ func TestAblationConfigsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := refexec.Run(e.gen, q)
+	want, err := refexec.RunLogical(q, e.gen.Each)
 	if err != nil {
 		t.Fatal(err)
 	}
 	configs := map[string]core.Features{
-		"all":          core.AllFeatures(),
+		"all":          core.DefaultFeatures(),
 		"no-block":     {ColumnarStorage: true, BlockIteration: false, MultiThreaded: true},
 		"no-columnar":  {ColumnarStorage: false, BlockIteration: true, MultiThreaded: true},
 		"no-threading": {ColumnarStorage: true, BlockIteration: true, MultiThreaded: false},
@@ -96,7 +96,7 @@ func TestAblationConfigsAgree(t *testing.T) {
 	for name, f := range configs {
 		feats := f
 		eng := e.engine(core.Options{Features: feats})
-		rs, _, err := eng.Execute(context.Background(), q)
+		rs, _, err := eng.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -114,7 +114,7 @@ func TestHashTablesBuiltOncePerNode(t *testing.T) {
 	q, _ := ssb.QueryByName("Q3.1")
 
 	eng := e.engine(core.Options{})
-	_, rep, err := eng.Execute(context.Background(), q)
+	_, rep, err := eng.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestHashTablesBuiltOncePerNode(t *testing.T) {
 
 	// Without multi-threading every map task builds privately.
 	feats := core.Features{ColumnarStorage: true, BlockIteration: true, MultiThreaded: false}
-	_, rep2, err := e.engine(core.Options{Features: feats}).Execute(context.Background(), q)
+	_, rep2, err := e.engine(core.Options{Features: feats}).Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +158,13 @@ func TestColumnarPruningReadsFewerBytes(t *testing.T) {
 		// bloom derivation adds driver-side dimension reads that would skew
 		// the scan-byte comparison).
 		eng := e.engine(core.Options{Features: feats, NoScanPruning: true, NoBloomPushdown: true})
-		if _, _, err := eng.Execute(context.Background(), q); err != nil {
+		if _, _, err := eng.Run(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 		after := e.fs.Metrics().Snapshot()
 		return (after.LocalBytesRead + after.RemoteBytesRead) - (before.LocalBytesRead + before.RemoteBytesRead)
 	}
-	pruned := readDelta(core.AllFeatures())
+	pruned := readDelta(core.DefaultFeatures())
 	full := readDelta(core.Features{ColumnarStorage: false, BlockIteration: true, MultiThreaded: true})
 	if pruned*2 >= full {
 		t.Errorf("pruned scan read %d bytes, full %d; expected a large saving", pruned, full)
@@ -175,7 +175,7 @@ func TestColumnarPruningReadsFewerBytes(t *testing.T) {
 func TestMultiThreadedRunsOneTaskPerNode(t *testing.T) {
 	e := newEnv(t, 3, 0.002)
 	q, _ := ssb.QueryByName("Q2.1")
-	_, rep, err := e.engine(core.Options{}).Execute(context.Background(), q)
+	_, rep, err := e.engine(core.Options{}).Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +226,11 @@ func TestDimCache(t *testing.T) {
 	}
 	e.cluster.Node("node-1").Revive()
 	q, _ := ssb.QueryByName("Q1.2")
-	rs, _, err := e.engine(core.Options{}).Execute(context.Background(), q)
+	rs, _, err := e.engine(core.Options{}).Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := refexec.Run(e.gen, q)
+	want, _ := refexec.RunLogical(q, e.gen.Each)
 	if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
 		t.Errorf("after node bounce: %s", why)
 	}
@@ -241,7 +241,7 @@ func TestDimCache(t *testing.T) {
 func TestMemoryReservedDuringQuery(t *testing.T) {
 	e := newEnv(t, 2, 0.002)
 	q, _ := ssb.QueryByName("Q4.1")
-	if _, _, err := e.engine(core.Options{}).Execute(context.Background(), q); err != nil {
+	if _, _, err := e.engine(core.Options{}).Run(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range e.cluster.Nodes() {
@@ -262,24 +262,37 @@ func TestQueryOOMWhenHashTablesExceedNode(t *testing.T) {
 	}
 	eng := core.New(mr.NewEngine(c, fs, mr.Options{}), lay.Catalog(), core.Options{})
 	q, _ := ssb.QueryByName("Q3.1") // large-ish customer hash
-	if _, _, err := eng.Execute(context.Background(), q); err == nil {
+	if _, _, err := eng.Run(context.Background(), q); err == nil {
 		t.Error("expected OOM with a 2 KB node budget")
 	}
 }
 
+// TestEstimateHashTableBytes checks the star-table footprint the one
+// dimension-stats estimator reports, summed over a query's edges (what a
+// Clydesdale node holds).
 func TestEstimateHashTableBytes(t *testing.T) {
 	gen := ssb.NewGenerator(0.002, 42)
-	q31, _ := ssb.QueryByName("Q3.1")
-	q32, _ := ssb.QueryByName("Q3.2")
-	each := func(table string, fn func(records.Record) error) error { return gen.Each(table, fn) }
-	b31, err := core.EstimateHashTableBytes(q31, each)
-	if err != nil {
-		t.Fatal(err)
+	oneCopy := func(name string) int64 {
+		t.Helper()
+		q, _ := ssb.QueryByName(name)
+		p, err := core.StarPlan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per, err := core.EstimateDimStats(p.Shape.Joins, gen.Each)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for _, ts := range per {
+			if ts.FilteredRows > ts.Rows || ts.MapJoinBytes < 48*ts.FilteredRows {
+				t.Errorf("%s: inconsistent stats %+v", name, ts)
+			}
+			sum += ts.HashBytes
+		}
+		return sum
 	}
-	b32, err := core.EstimateHashTableBytes(q32, each)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b31, b32 := oneCopy("Q3.1"), oneCopy("Q3.2")
 	if b31 <= 0 || b32 <= 0 {
 		t.Fatal("estimates must be positive")
 	}
@@ -293,8 +306,10 @@ func TestEstimateHashTableBytes(t *testing.T) {
 func TestValidationErrors(t *testing.T) {
 	e := newEnv(t, 1, 0.002)
 	eng := e.engine(core.Options{})
-	bad := &core.Query{Name: "no-agg"}
-	if _, _, err := eng.Execute(context.Background(), bad); err == nil {
+	// An aggregate-less plan fails to decompose.
+	bad := &plan.Logical{Name: "no-agg", Root: &plan.Scan{
+		Table: ssb.TableLineorder, Source: ssb.LineorderSchema, Fact: true}}
+	if _, _, err := eng.Run(context.Background(), bad); err == nil {
 		t.Error("expected validation error")
 	}
 }
@@ -308,11 +323,11 @@ func TestProbeOrderOptionAgrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, _, err := e.engine(core.Options{}).Execute(context.Background(), query)
+		base, _, err := e.engine(core.Options{}).Run(context.Background(), query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reord, _, err := e.engine(core.Options{ProbeMostSelectiveFirst: true}).Execute(context.Background(), query)
+		reord, _, err := e.engine(core.Options{ProbeMostSelectiveFirst: true}).Run(context.Background(), query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +347,7 @@ func TestCombinerShrinksShuffle(t *testing.T) {
 	e := newEnv(t, 2, 0.005)
 	q, _ := ssb.QueryByName("Q1.1") // grand aggregate: every task combines to one pair
 	feats := core.Features{ColumnarStorage: true, BlockIteration: true, MultiThreaded: true, InMapperCombining: false}
-	_, rep, err := e.engine(core.Options{Features: feats}).Execute(context.Background(), q)
+	_, rep, err := e.engine(core.Options{Features: feats}).Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,13 +379,13 @@ func TestInMapperCombiningShrinksMapOutput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		on := core.AllFeatures()
+		on := core.DefaultFeatures()
 		off := core.Features{ColumnarStorage: true, BlockIteration: true, MultiThreaded: true, InMapperCombining: false}
-		rsOn, repOn, err := e.engine(core.Options{Features: on}).Execute(context.Background(), q)
+		rsOn, repOn, err := e.engine(core.Options{Features: on}).Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s combining on: %v", name, err)
 		}
-		rsOff, repOff, err := e.engine(core.Options{Features: off}).Execute(context.Background(), q)
+		rsOff, repOff, err := e.engine(core.Options{Features: off}).Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s combining off: %v", name, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/hdfs"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 )
 
@@ -78,12 +79,12 @@ func EnsureCatalogCached(fs *hdfs.FileSystem, cat *Catalog) (int, error) {
 	return total, nil
 }
 
-// EnsureCatalogCachedFor caches only the dimensions the query touches on
-// every live node (normally a no-op after cluster setup).
-func EnsureCatalogCachedFor(fs *hdfs.FileSystem, cat *Catalog, q *Query) (int, error) {
+// EnsureCatalogCachedFor caches only the tables the join edges build from
+// on every live node (normally a no-op after cluster setup).
+func EnsureCatalogCachedFor(fs *hdfs.FileSystem, cat *Catalog, edges []plan.JoinEdge) (int, error) {
 	total := 0
-	for i := range q.Dims {
-		dir, err := cat.DimDir(q.Dims[i].Table)
+	for i := range edges {
+		dir, err := cat.DimDir(edges[i].Table)
 		if err != nil {
 			return total, err
 		}

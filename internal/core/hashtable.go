@@ -7,6 +7,7 @@ import (
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/expr"
 	"clydesdale/internal/hdfs"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 )
 
@@ -274,43 +275,43 @@ func (h *DimHashTable) finalize() {
 	}
 }
 
-// BuildDimHashTable builds the hash table for one dimension spec from the
-// node-local dimension copy (charging the local read and the deserialization
-// work — this is the §6.3 "build" phase that runs once per node). The build
-// is single-threaded, as in the paper.
-func BuildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, spec *DimSpec) (*DimHashTable, error) {
+// BuildDimHashTable builds the hash table for one join edge from the
+// node-local copy of its table (charging the local read and the
+// deserialization work — this is the §6.3 "build" phase that runs once per
+// node). The build is single-threaded, as in the paper.
+func BuildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, edge *plan.JoinEdge) (*DimHashTable, error) {
 	data, err := localDimBytes(fs, node, dimDir)
 	if err != nil {
 		return nil, err
 	}
-	schema := spec.Schema
+	schema := edge.Schema
 	var pred expr.RowPred
-	if spec.Pred != nil {
-		p, err := expr.CompilePred(spec.Pred, schema)
+	if edge.Pred != nil {
+		p, err := expr.CompilePred(edge.Pred, schema)
 		if err != nil {
-			return nil, fmt.Errorf("core: dim %s predicate: %w", spec.Table, err)
+			return nil, fmt.Errorf("core: dim %s predicate: %w", edge.Table, err)
 		}
 		pred = p
 	}
-	pkIx := schema.Index(spec.DimPK)
+	pkIx := schema.Index(edge.PK)
 	if pkIx < 0 {
-		return nil, fmt.Errorf("core: dim %s has no column %s", spec.Table, spec.DimPK)
+		return nil, fmt.Errorf("core: dim %s has no column %s", edge.Table, edge.PK)
 	}
 	if schema.Field(pkIx).Kind != records.KindInt64 {
-		return nil, fmt.Errorf("core: dim %s key %s is %s, want int64", spec.Table, spec.DimPK, schema.Field(pkIx).Kind)
+		return nil, fmt.Errorf("core: dim %s key %s is %s, want int64", edge.Table, edge.PK, schema.Field(pkIx).Kind)
 	}
-	auxIx := make([]int, len(spec.Aux))
-	for i, a := range spec.Aux {
+	auxIx := make([]int, len(edge.Aux))
+	for i, a := range edge.Aux {
 		auxIx[i] = schema.MustIndex(a)
 	}
 
-	h := newDimHashTable(spec.Table, len(auxIx), 64)
+	h := newDimHashTable(edge.Table, len(auxIx), 64)
 	aux := make([]records.Value, len(auxIx))
 	pos := 0
 	for pos < len(data) {
 		rec, n, err := records.DecodeRecord(data[pos:], schema)
 		if err != nil {
-			return nil, fmt.Errorf("core: decoding cached dim %s: %w", spec.Table, err)
+			return nil, fmt.Errorf("core: decoding cached dim %s: %w", edge.Table, err)
 		}
 		pos += n
 		if pred != nil && !pred(rec) {
@@ -338,62 +339,54 @@ func dimTableCapacity(n int64) int64 {
 	return c
 }
 
-// EstimateDimHashBytes computes the memory each of a query's dimension hash
-// tables would occupy (one entry per dimension, in query order), by
-// evaluating the dimension predicates over rows supplied by each(table).
-// It mirrors the open-addressing layout exactly — slot and tag arrays at
-// the capacity the build ends with, plus the aux-value arena — so the
-// estimate equals the MemBytes a real build reserves. The benchmark
-// harness uses it (with the SSB generator as the row source, so no I/O is
-// charged) to size the Clydesdale residency constraint: a node holds the
-// *sum* of the query's tables (§6.4). Mapjoin budgets use the boxed-map
-// model in package hive instead.
-func EstimateDimHashBytes(q *Query, each func(table string, fn func(records.Record) error) error) ([]int64, error) {
-	out := make([]int64, len(q.Dims))
-	for i := range q.Dims {
-		spec := &q.Dims[i]
+// EstimateDimStats is the one dimension-statistics estimator: for each
+// join edge (in order) it evaluates the edge's predicate over rows supplied
+// by each(table) and returns the row count, the filtered row count, and the
+// two hash-table footprints the planners and budgets use. HashBytes mirrors
+// the open-addressing layout exactly — slot and tag arrays at the capacity
+// the build ends with, plus the aux-value arena — so it equals the MemBytes
+// a real build reserves; a Clydesdale node holds the *sum* over the query's
+// edges (§6.4). MapJoinBytes charges plan.MapJoinEntryBytes per entry, the
+// boxed map a Hive mapjoin task or a cascade side table loads; a mapjoin
+// task holds one edge at a time, so its constraint is the maximum. With the
+// SSB generator as the row source no I/O is charged.
+func EstimateDimStats(edges []plan.JoinEdge, each func(table string, fn func(records.Record) error) error) ([]plan.TableStats, error) {
+	out := make([]plan.TableStats, len(edges))
+	for i := range edges {
+		edge := &edges[i]
 		var pred expr.RowPred
-		if spec.Pred != nil {
-			p, err := expr.CompilePred(spec.Pred, spec.Schema)
+		if edge.Pred != nil {
+			p, err := expr.CompilePred(edge.Pred, edge.Schema)
 			if err != nil {
 				return nil, err
 			}
 			pred = p
 		}
-		auxIx := make([]int, len(spec.Aux))
-		for j, a := range spec.Aux {
-			auxIx[j] = spec.Schema.MustIndex(a)
+		auxIx := make([]int, len(edge.Aux))
+		for j, a := range edge.Aux {
+			auxIx[j] = edge.Schema.MustIndex(a)
 		}
-		var entries, auxBytes int64
-		err := each(spec.Table, func(rec records.Record) error {
+		ts := &out[i]
+		var arenaBytes int64
+		aux := make([]records.Value, len(auxIx))
+		err := each(edge.Table, func(rec records.Record) error {
+			ts.Rows++
 			if pred != nil && !pred(rec) {
 				return nil
 			}
-			entries++
-			for _, ix := range auxIx {
-				auxBytes += rec.At(ix).MemSize()
+			ts.FilteredRows++
+			for j, ix := range auxIx {
+				aux[j] = rec.At(ix)
+				arenaBytes += aux[j].MemSize()
 			}
+			ts.MapJoinBytes += plan.MapJoinEntryBytes(aux)
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		// 16 bytes per slot + 1 tag byte, plus the arena.
-		out[i] = dimTableCapacity(entries)*17 + auxBytes
+		ts.HashBytes = dimTableCapacity(ts.FilteredRows)*17 + arenaBytes
 	}
 	return out, nil
-}
-
-// EstimateHashTableBytes sums EstimateDimHashBytes: one full copy of the
-// query's dimension hash tables (what a Clydesdale node holds).
-func EstimateHashTableBytes(q *Query, each func(table string, fn func(records.Record) error) error) (int64, error) {
-	per, err := EstimateDimHashBytes(q, each)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, b := range per {
-		total += b
-	}
-	return total, nil
 }

@@ -6,10 +6,11 @@ import (
 
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/core"
-	"clydesdale/internal/expr"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
+	"clydesdale/internal/sql"
 	"clydesdale/internal/ssb"
 )
 
@@ -79,18 +80,14 @@ func TestRollInInvalidatesDerivedScanState(t *testing.T) {
 		DimSchemas: map[string]*records.Schema{"d": dimSchema},
 	}
 	eng := core.New(e.mr, cat, core.Options{})
-	q := &core.Query{
-		Name: "hot-sum",
-		Dims: []core.DimSpec{{
-			Table: "d", Schema: dimSchema, FactFK: "f_fk", DimPK: "d_pk",
-			Pred: expr.Eq(expr.Col("d_x"), expr.ConstStr("hot")),
-		}},
-		AggExpr: expr.Col("f_m"),
-		AggName: "total",
+	q, err := sql.Parse("SELECT SUM(f_m) AS total FROM f, d WHERE f_fk = d_pk AND d_x = 'hot'", cat)
+	if err != nil {
+		t.Fatal(err)
 	}
+	q.Name = "hot-sum"
 	sum := func() float64 {
 		t.Helper()
-		rs, _, err := eng.Execute(context.Background(), q)
+		rs, _, err := eng.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,17 +156,13 @@ func TestFactRollInMatchesReference(t *testing.T) {
 	// Generated lineorder dates are clustered by row position, so indexes
 	// past LineorderRows() land on the calendar's last year — a 1998 filter
 	// is the query the batch must visibly change.
-	q1998 := &core.Query{
-		Name: "rollin-1998",
-		Dims: []core.DimSpec{{
-			Table: "date", Schema: cat.DimSchemas["date"],
-			FactFK: "lo_orderdate", DimPK: "d_datekey",
-			Pred: expr.Eq(expr.Col("d_year"), expr.ConstInt(1998)),
-		}},
-		AggExpr: expr.Col("lo_revenue"),
-		AggName: "revenue",
+	q1998, err := sql.Parse(`SELECT SUM(lo_revenue) AS revenue FROM lineorder, date
+		WHERE lo_orderdate = d_datekey AND d_year = 1998`, cat)
+	if err != nil {
+		t.Fatal(err)
 	}
-	before, _, err := eng.Execute(context.Background(), q1998)
+	q1998.Name = "rollin-1998"
+	before, _, err := eng.Run(context.Background(), q1998)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,16 +199,12 @@ func TestFactRollInMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []*core.Query{q1998, q11} {
-		after, _, err := eng.Execute(context.Background(), q)
+	for _, q := range []*plan.Logical{q1998, q11} {
+		after, _, err := eng.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		l, err := core.LogicalOf(q, cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := refexec.RunLogical(l, each)
+		want, err := refexec.RunLogical(q, each)
 		if err != nil {
 			t.Fatalf("%s ref: %v", q.Name, err)
 		}

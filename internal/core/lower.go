@@ -6,81 +6,42 @@ import (
 	"clydesdale/internal/plan"
 )
 
-// LogicalOf lifts a star Query into the shared logical-plan IR: a filtered
-// fact scan, one join per dimension in declaration order, the grouped SUM,
-// and the optional ordering. The catalog supplies the fact's name; dims
-// carry their own schemas.
-func LogicalOf(q *Query, cat *Catalog) (*plan.Logical, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	factName := cat.FactName
-	if factName == "" {
-		factName = "fact"
-	}
-	var n plan.Node = &plan.Scan{Table: factName, Source: cat.FactSchema, Fact: true}
-	if q.FactPred != nil {
-		n = &plan.Filter{Input: n, Pred: q.FactPred}
-	}
-	for i := range q.Dims {
-		d := &q.Dims[i]
-		var right plan.Node = &plan.Scan{Table: d.Table, Source: d.Schema}
-		if d.Pred != nil {
-			right = &plan.Filter{Input: right, Pred: d.Pred}
-		}
-		n = &plan.Join{Left: n, Right: right, LeftKey: d.FactFK, RightKey: d.DimPK}
-	}
-	n = &plan.Aggregate{Input: n, Agg: q.AggExpr, AggName: q.AggName, GroupBy: q.GroupBy}
-	if len(q.OrderBy) > 0 {
-		keys := make([]plan.OrderKey, len(q.OrderBy))
-		for i, k := range q.OrderBy {
-			keys[i] = plan.OrderKey{Col: k.Col, Desc: k.Desc}
-		}
-		n = &plan.Order{Input: n, Keys: keys}
-	}
-	name := q.Name
-	if name == "" {
-		name = "query"
-	}
-	return &plan.Logical{Name: name, Root: n}, nil
-}
-
-// QueryFromLogical lowers a bound logical plan back into the star Query
-// model. Only pure star plans qualify: a snowflake edge (depth > 1) has no
-// Query representation and returns an error.
-func QueryFromLogical(l *plan.Logical) (*Query, error) {
+// StarPlan lowers a bound logical plan to the physical plan Engine.Run
+// executes: the single-pass star join, with no cost-based choice, so Run
+// stays deterministic and free of driver-side statistics scans. Steps stay
+// empty — the star executor reads the shape, and the staged fallback
+// linearizes it if it runs. A snowflake edge (depth > 1) cannot probe the
+// fact stream directly and returns an error; snowflake plans go through
+// PlanLogical and RunPlan instead.
+func StarPlan(l *plan.Logical) (*plan.Physical, error) {
 	sh, err := plan.Decompose(l)
 	if err != nil {
 		return nil, err
 	}
-	return QueryFromShape(sh)
+	if err := requireStar(sh); err != nil {
+		return nil, err
+	}
+	return &plan.Physical{Shape: sh, Kind: plan.KindStar, Feasible: true}, nil
 }
 
-// QueryFromShape is QueryFromLogical for an already-decomposed shape.
-func QueryFromShape(sh *plan.Shape) (*Query, error) {
-	q := &Query{
-		Name:     sh.Name,
-		FactPred: sh.FactPred,
-		AggExpr:  sh.Agg,
-		AggName:  sh.AggName,
-		GroupBy:  append([]string(nil), sh.GroupBy...),
-	}
+// requireStar rejects shapes the single-pass star join cannot execute.
+func requireStar(sh *plan.Shape) error {
 	for i := range sh.Joins {
-		e := &sh.Joins[i]
-		if e.Depth != 1 {
-			return nil, fmt.Errorf("core: %s joins through %s (depth %d); a star query cannot express snowflake edges", e.Table, e.Parent, e.Depth)
+		if e := &sh.Joins[i]; e.Depth != 1 {
+			return fmt.Errorf("core: %s joins through %s (depth %d); a star query cannot express snowflake edges", e.Table, e.Parent, e.Depth)
 		}
-		q.Dims = append(q.Dims, DimSpec{
-			Table:  e.Table,
-			Schema: e.Schema,
-			FactFK: e.FK,
-			DimPK:  e.PK,
-			Pred:   e.Pred,
-			Aux:    append([]string(nil), e.Aux...),
-		})
 	}
-	for _, k := range sh.OrderBy {
-		q.OrderBy = append(q.OrderBy, OrderKey{Col: k.Col, Desc: k.Desc})
+	return nil
+}
+
+// QueryFromLogical checks that a bound logical plan is a pure star (the
+// shape Engine.Run and serve.Session.Query execute) and returns it
+// unchanged. Its only caller is the frozen benchmark adapter
+// (perfbench/adapter.go), which predates Session.Query taking the plan
+// directly; new code passes the plan straight through.
+func QueryFromLogical(l *plan.Logical) (*plan.Logical, error) {
+	if _, err := StarPlan(l); err != nil {
+		return nil, err
 	}
-	return q, nil
+	return l, nil
 }

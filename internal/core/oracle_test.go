@@ -24,11 +24,11 @@ func TestPruningOracleAllQueries(t *testing.T) {
 	mustPrune := map[string]bool{"Q1.1": true, "Q3.4": true}
 	var totalPruned int64
 	for _, q := range ssb.Queries() {
-		got, rep, err := opt.Execute(context.Background(), q)
+		got, rep, err := opt.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s optimized: %v", q.Name, err)
 		}
-		want, _, err := base.Execute(context.Background(), q)
+		want, _, err := base.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", q.Name, err)
 		}
@@ -67,12 +67,12 @@ func TestCompressedExecutionOracle(t *testing.T) {
 	mustBloom := map[string]bool{"Q2.1": true, "Q2.2": true}
 	var totalBloom, totalSide, totalCodeProbe int64
 	for _, q := range ssb.Queries() {
-		got, rep, err := opt.Execute(context.Background(), q)
+		got, rep, err := opt.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s optimized: %v", q.Name, err)
 		}
 		for name, eng := range ablations {
-			want, wrep, err := eng.Execute(context.Background(), q)
+			want, wrep, err := eng.Run(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s %s: %v", q.Name, name, err)
 			}

@@ -6,38 +6,10 @@ import (
 	"fmt"
 
 	"clydesdale/internal/colstore"
-	"clydesdale/internal/expr"
 	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/results"
 )
-
-// lowerQuery builds the physical plan Run executes for a star Query: the
-// shape's bind-order pipeline with the kind fixed by Options.Mode (no
-// cost-based choice, so Run stays deterministic and stat-scan free on the
-// hot path).
-func (e *Engine) lowerQuery(q *Query) (*plan.Physical, error) {
-	l, err := LogicalOf(q, e.cat)
-	if err != nil {
-		return nil, err
-	}
-	sh, err := plan.Decompose(l)
-	if err != nil {
-		return nil, err
-	}
-	steps, err := sh.Linearize()
-	if err != nil {
-		return nil, err
-	}
-	kind := plan.KindStar
-	if e.opts.Mode == ModeStaged {
-		kind = plan.KindStaged
-	}
-	for i := range steps {
-		steps[i].Strategy = plan.StrategyStar
-	}
-	return &plan.Physical{Shape: sh, Kind: kind, Steps: steps, Feasible: true}, nil
-}
 
 // PlanStats gathers the cost model's inputs for a logical plan: fact
 // cardinality from the CIF zone maps, per-table row counts and hash-table
@@ -61,53 +33,13 @@ func (e *Engine) PlanStats(l *plan.Logical) (*plan.Stats, error) {
 		}
 		return colstore.ScanRowTable(fs, dir, "", fn)
 	}
-	// One synthetic query carrying every edge as a DimSpec feeds the star
-	// estimator; FactFK is never consulted there.
-	hq := &Query{Name: sh.Name}
-	for i := range sh.Joins {
-		ed := &sh.Joins[i]
-		hq.Dims = append(hq.Dims, DimSpec{
-			Table: ed.Table, Schema: ed.Schema, FactFK: ed.FK, DimPK: ed.PK,
-			Pred: ed.Pred, Aux: append([]string(nil), ed.Aux...),
-		})
-	}
-	hashBytes, err := EstimateDimHashBytes(hq, each)
+	per, err := EstimateDimStats(sh.Joins, each)
 	if err != nil {
 		return nil, err
 	}
 	tables := make(map[string]plan.TableStats, len(sh.Joins))
 	for i := range sh.Joins {
-		ed := &sh.Joins[i]
-		var pred expr.RowPred
-		if ed.Pred != nil {
-			p, err := expr.CompilePred(ed.Pred, ed.Schema)
-			if err != nil {
-				return nil, err
-			}
-			pred = p
-		}
-		auxIdx := make([]int, len(ed.Aux))
-		for j, a := range ed.Aux {
-			auxIdx[j] = ed.Schema.MustIndex(a)
-		}
-		ts := plan.TableStats{HashBytes: hashBytes[i]}
-		aux := make([]records.Value, len(auxIdx))
-		err := each(ed.Table, func(r records.Record) error {
-			ts.Rows++
-			if pred != nil && !pred(r) {
-				return nil
-			}
-			ts.FilteredRows++
-			for j, ix := range auxIdx {
-				aux[j] = r.At(ix)
-			}
-			ts.MapJoinBytes += plan.MapJoinEntryBytes(aux)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		tables[ed.Table] = ts
+		tables[sh.Joins[i].Table] = per[i]
 	}
 	cfg := e.mr.Cluster().Config()
 	return &plan.Stats{
@@ -130,15 +62,6 @@ func (e *Engine) PlanLogical(l *plan.Logical) (*plan.Physical, error) {
 	return plan.Choose(l, st)
 }
 
-// Plan is PlanLogical for a star Query.
-func (e *Engine) Plan(q *Query) (*plan.Physical, error) {
-	l, err := LogicalOf(q, e.cat)
-	if err != nil {
-		return nil, err
-	}
-	return e.PlanLogical(l)
-}
-
 // RunPlan executes a chosen physical plan: the single-pass star join (with
 // the §5.1 staged fallback on memory exhaustion), the staged plan, or the
 // cascading map-side join.
@@ -151,26 +74,22 @@ func (e *Engine) RunPlan(ctx context.Context, p *plan.Physical) (rs *results.Res
 	}
 	ctx, finish := e.traceRoot(ctx, p.Shape.Name)
 	defer func() { finish(err) }()
-	return e.runPhysical(ctx, p, ModeAuto)
+	return e.runPhysical(ctx, p)
 }
 
-// runPhysical dispatches a physical plan to its executor. mode only
-// matters for KindStar: ModeSinglePass suppresses the staged OOM fallback.
-func (e *Engine) runPhysical(ctx context.Context, p *plan.Physical, mode Mode) (*results.ResultSet, *Report, error) {
+// runPhysical dispatches a physical plan to its kind's executor. A star
+// plan that runs out of node memory falls back to the staged plan (§5.1).
+func (e *Engine) runPhysical(ctx context.Context, p *plan.Physical) (*results.ResultSet, *Report, error) {
 	switch p.Kind {
 	case plan.KindStaged:
 		return e.runStagedShape(ctx, p)
 	case plan.KindCascade:
 		return e.runCascade(ctx, p)
 	default:
-		q, err := QueryFromShape(p.Shape)
-		if err != nil {
-			return nil, nil, err
-		}
-		rs, rep, err := e.executeSinglePass(ctx, q)
-		if mode == ModeSinglePass || err == nil || !errors.Is(err, ErrOOM) || ctx.Err() != nil {
+		rs, rep, err := e.runStar(ctx, p.Shape)
+		if err == nil || !errors.Is(err, ErrOOM) || ctx.Err() != nil {
 			return rs, rep, err
 		}
-		return e.executeStaged(ctx, q)
+		return e.runStagedShape(ctx, p)
 	}
 }

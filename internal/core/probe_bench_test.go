@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 )
 
@@ -166,7 +167,7 @@ func BenchmarkAggregateEmit(b *testing.B) {
 	newRunner := func(combining bool) *starJoinRunner {
 		return &starJoinRunner{
 			eng:       &Engine{feats: Features{InMapperCombining: combining}},
-			q:         &Query{Dims: make([]DimSpec, 2)},
+			sh:        &plan.Shape{Joins: make([]plan.JoinEdge, 2)},
 			groupSrcs: []groupSrc{{dim: 0, aux: 0}, {dim: 1, aux: 0}},
 			gschema:   gschema,
 		}

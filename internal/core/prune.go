@@ -4,6 +4,7 @@ import (
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/expr"
 	"clydesdale/internal/hdfs"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 )
 
@@ -49,11 +50,11 @@ type dimScan struct {
 // at most once per (dimension, predicate, fact FK): dimension contents are
 // immutable for an engine's lifetime. Returns nil for dimensions that can
 // yield nothing (no predicate, no schema).
-func (e *Engine) dimScanFor(d *DimSpec) *dimScan {
+func (e *Engine) dimScanFor(d *plan.JoinEdge) *dimScan {
 	if d.Pred == nil || d.Schema == nil {
 		return nil
 	}
-	key := d.Table + "|" + d.FactFK + "|" + d.Pred.String()
+	key := d.Table + "|" + d.FK + "|" + d.Pred.String()
 	e.hintMu.Lock()
 	ds, cached := e.hintCache[key]
 	e.hintMu.Unlock()
@@ -69,31 +70,38 @@ func (e *Engine) dimScanFor(d *DimSpec) *dimScan {
 	return ds
 }
 
-// fkPruneHints returns one BETWEEN hint per dimension whose qualifying
-// primary keys are non-empty. Dimensions that cannot yield a hint (no
+// fkPruneHints returns one BETWEEN hint per fact-side edge (depth 1) whose
+// qualifying primary keys are non-empty. Edges that cannot yield a hint (no
 // predicate, non-integer key, scan error) are skipped — pruning just sees
-// fewer hints.
-func (e *Engine) fkPruneHints(q *Query) []expr.Pred {
+// fewer hints. Snowflake edges are skipped too: their FK is not a fact
+// column, so a hint on it could never refute a fact partition.
+func (e *Engine) fkPruneHints(edges []plan.JoinEdge) []expr.Pred {
 	var hints []expr.Pred
-	for i := range q.Dims {
-		if ds := e.dimScanFor(&q.Dims[i]); ds != nil && ds.hint != nil {
+	for i := range edges {
+		if edges[i].Depth != 1 {
+			continue
+		}
+		if ds := e.dimScanFor(&edges[i]); ds != nil && ds.hint != nil {
 			hints = append(hints, ds.hint)
 		}
 	}
 	return hints
 }
 
-// semiJoinFilters returns one KeyFilter per dimension whose predicate is
+// semiJoinFilters returns one KeyFilter per fact-side edge whose predicate is
 // selective enough to pay for per-row filtering (see bloomMaxSelectivity).
 // The filters are derived on the driver before the job is submitted — they
 // are plain immutable state shipped with the input format, so retried,
 // speculative, and failed-over task attempts all see the same filters.
-func (e *Engine) semiJoinFilters(q *Query) []colstore.KeyFilter {
+func (e *Engine) semiJoinFilters(edges []plan.JoinEdge) []colstore.KeyFilter {
 	var filters []colstore.KeyFilter
-	for i := range q.Dims {
-		d := &q.Dims[i]
+	for i := range edges {
+		d := &edges[i]
+		if d.Depth != 1 {
+			continue
+		}
 		if ds := e.dimScanFor(d); ds != nil && ds.bloom != nil {
-			filters = append(filters, colstore.KeyFilter{Column: d.FactFK, Keys: ds.bloom})
+			filters = append(filters, colstore.KeyFilter{Column: d.FK, Keys: ds.bloom})
 		}
 	}
 	return filters
@@ -103,9 +111,9 @@ func (e *Engine) semiJoinFilters(q *Query) []colstore.KeyFilter {
 // qualifying-key range (→ prune hint) and the qualifying keys themselves
 // (→ bloom filter, when selective enough). Never returns nil; an empty
 // dimScan means nothing was derivable.
-func deriveDimScan(fs *hdfs.FileSystem, cat *Catalog, d *DimSpec) *dimScan {
+func deriveDimScan(fs *hdfs.FileSystem, cat *Catalog, d *plan.JoinEdge) *dimScan {
 	ds := &dimScan{}
-	pkIdx := d.Schema.Index(d.DimPK)
+	pkIdx := d.Schema.Index(d.PK)
 	if pkIdx < 0 || d.Schema.Field(pkIdx).Kind != records.KindInt64 {
 		return ds
 	}
@@ -142,19 +150,21 @@ func deriveDimScan(fs *hdfs.FileSystem, cat *Catalog, d *DimSpec) *dimScan {
 	if err != nil || len(keys) == 0 {
 		return ds
 	}
-	ds.hint = expr.Between(expr.Col(d.FactFK), records.Int(lo), records.Int(hi))
+	ds.hint = expr.Between(expr.Col(d.FK), records.Int(lo), records.Int(hi))
 	if float64(len(keys)) <= bloomMaxSelectivity*float64(total) {
 		ds.bloom = colstore.NewKeyBloom(keys, colstore.DefaultBloomBitsPerKey)
 	}
 	return ds
 }
 
-// factFKs lists the fact-side join keys, the columns the probe needs before
-// any selection (CIFInput.EagerColumns).
-func factFKs(q *Query) []string {
-	fks := make([]string, len(q.Dims))
-	for i := range q.Dims {
-		fks[i] = q.Dims[i].FactFK
+// factFKs lists the fact-side join keys (the depth-1 edges' FKs), the
+// columns the probe needs before any selection (CIFInput.EagerColumns).
+func factFKs(edges []plan.JoinEdge) []string {
+	var fks []string
+	for i := range edges {
+		if edges[i].Depth == 1 {
+			fks = append(fks, edges[i].FK)
+		}
 	}
 	return fks
 }

@@ -10,6 +10,7 @@ import (
 	"clydesdale/internal/expr"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 )
 
@@ -34,13 +35,13 @@ const (
 // reader per thread, and runs the probe phase over all of them, sharing the
 // single copy of the hash tables.
 //
-// One runner instance serves every task of the job (see Engine.Execute), so
+// One runner instance serves every task of the job (see Engine.runStar), so
 // the table group below is the per-job, per-node build cache — the Go
 // equivalent of the paper's JVM statics, minus the race two concurrent
 // tasks on one node would have hitting a load-then-store cache.
 type starJoinRunner struct {
 	eng        *Engine
-	q          *Query
+	sh         *plan.Shape
 	factSchema *records.Schema // the projected fact schema the reader yields
 	groupSrcs  []groupSrc
 	gschema    *records.Schema
@@ -50,12 +51,12 @@ type starJoinRunner struct {
 // groupSrc locates one group-by column inside a dimension's aux values.
 type groupSrc struct{ dim, aux int }
 
-func newStarJoinRunner(eng *Engine, q *Query, factSchema *records.Schema) (*starJoinRunner, error) {
-	srcs := make([]groupSrc, len(q.GroupBy))
-	for gi, gcol := range q.GroupBy {
+func newStarJoinRunner(eng *Engine, sh *plan.Shape, factSchema *records.Schema) (*starJoinRunner, error) {
+	srcs := make([]groupSrc, len(sh.GroupBy))
+	for gi, gcol := range sh.GroupBy {
 		found := false
-		for di := range q.Dims {
-			for ai, aux := range q.Dims[di].Aux {
+		for di := range sh.Joins {
+			for ai, aux := range sh.Joins[di].Aux {
 				if aux == gcol {
 					srcs[gi] = groupSrc{dim: di, aux: ai}
 					found = true
@@ -68,10 +69,10 @@ func newStarJoinRunner(eng *Engine, q *Query, factSchema *records.Schema) (*star
 	}
 	return &starJoinRunner{
 		eng:        eng,
-		q:          q,
+		sh:         sh,
 		factSchema: factSchema,
 		groupSrcs:  srcs,
-		gschema:    q.GroupSchema(),
+		gschema:    sh.GroupSchema(),
 	}, nil
 }
 
@@ -125,7 +126,7 @@ func (g *nodeTableGroup) do(node string, build func() ([]*DimHashTable, error)) 
 // for every table it hands out; release unpins the table and must be called
 // exactly once when the task stops probing it.
 type TableProvider interface {
-	AcquireDimTable(ctx *mr.TaskContext, dimDir string, spec *DimSpec) (ht *DimHashTable, release func(), err error)
+	AcquireDimTable(ctx *mr.TaskContext, dimDir string, edge *plan.JoinEdge) (ht *DimHashTable, release func(), err error)
 }
 
 // hashTables returns the node's hash tables, building them on first use,
@@ -139,21 +140,21 @@ type TableProvider interface {
 func (r *starJoinRunner) hashTables(ctx *mr.TaskContext) ([]*DimHashTable, func(), error) {
 	noop := func() {}
 	if p := r.eng.opts.Tables; p != nil {
-		hts := make([]*DimHashTable, len(r.q.Dims))
-		releases := make([]func(), 0, len(r.q.Dims))
+		hts := make([]*DimHashTable, len(r.sh.Joins))
+		releases := make([]func(), 0, len(r.sh.Joins))
 		releaseAll := func() {
 			for _, rel := range releases {
 				rel()
 			}
 		}
-		for i := range r.q.Dims {
-			spec := &r.q.Dims[i]
-			dir, err := r.eng.cat.DimDir(spec.Table)
+		for i := range r.sh.Joins {
+			edge := &r.sh.Joins[i]
+			dir, err := r.eng.cat.DimDir(edge.Table)
 			if err != nil {
 				releaseAll()
 				return nil, nil, err
 			}
-			ht, rel, err := p.AcquireDimTable(ctx, dir, spec)
+			ht, rel, err := p.AcquireDimTable(ctx, dir, edge)
 			if err != nil {
 				releaseAll()
 				return nil, nil, err
@@ -184,14 +185,14 @@ func (r *starJoinRunner) hashTables(ctx *mr.TaskContext) ([]*DimHashTable, func(
 
 func (r *starJoinRunner) buildHashTables(ctx *mr.TaskContext) ([]*DimHashTable, error) {
 	start := time.Now()
-	hts := make([]*DimHashTable, len(r.q.Dims))
-	for i := range r.q.Dims {
-		spec := &r.q.Dims[i]
-		dir, err := r.eng.cat.DimDir(spec.Table)
+	hts := make([]*DimHashTable, len(r.sh.Joins))
+	for i := range r.sh.Joins {
+		edge := &r.sh.Joins[i]
+		dir, err := r.eng.cat.DimDir(edge.Table)
 		if err != nil {
 			return nil, err
 		}
-		h, err := BuildDimHashTable(ctx.FS, ctx.Node(), dir, spec)
+		h, err := BuildDimHashTable(ctx.FS, ctx.Node(), dir, edge)
 		if err != nil {
 			return nil, err
 		}
@@ -230,10 +231,10 @@ type probeScratch struct {
 
 func (r *starJoinRunner) newScratch() *probeScratch {
 	sc := &probeScratch{
-		auxRow:  make([][]records.Value, len(r.q.Dims)),
-		fkCols:  make([][]int64, len(r.q.Dims)),
-		fkCodes: make([][]uint32, len(r.q.Dims)),
-		fkSide:  make([][]int32, len(r.q.Dims)),
+		auxRow:  make([][]records.Value, len(r.sh.Joins)),
+		fkCols:  make([][]int64, len(r.sh.Joins)),
+		fkCodes: make([][]uint32, len(r.sh.Joins)),
+		fkSide:  make([][]int32, len(r.sh.Joins)),
 		keyVals: make([]records.Value, len(r.groupSrcs)),
 		valVals: make([]records.Value, 1),
 	}
@@ -402,23 +403,23 @@ func (r *starJoinRunner) probeBlocks(ctx *mr.TaskContext, br colstore.BlockReade
 		}
 		if !compiled {
 			schema := blk.Schema()
-			if r.q.FactPred != nil {
-				p, err := expr.CompileBlockPred(r.q.FactPred, schema)
+			if r.sh.FactPred != nil {
+				p, err := expr.CompileBlockPred(r.sh.FactPred, schema)
 				if err != nil {
 					return err
 				}
 				pred = p
 			}
-			a, err := expr.CompileBlockNum(r.q.AggExpr, schema)
+			a, err := expr.CompileBlockNum(r.sh.Agg, schema)
 			if err != nil {
 				return err
 			}
 			agg = a
-			fkIdx = make([]int, len(r.q.Dims))
-			for i, d := range r.q.Dims {
-				ix := schema.Index(d.FactFK)
+			fkIdx = make([]int, len(r.sh.Joins))
+			for i, d := range r.sh.Joins {
+				ix := schema.Index(d.FK)
 				if ix < 0 {
-					return fmt.Errorf("core: fact reader schema %v lacks FK %s", schema, d.FactFK)
+					return fmt.Errorf("core: fact reader schema %v lacks FK %s", schema, d.FK)
 				}
 				fkIdx[i] = ix
 			}
@@ -504,23 +505,23 @@ rowLoop:
 		}
 		if !compiled {
 			schema := rec.Schema()
-			if r.q.FactPred != nil {
-				p, err := expr.CompilePred(r.q.FactPred, schema)
+			if r.sh.FactPred != nil {
+				p, err := expr.CompilePred(r.sh.FactPred, schema)
 				if err != nil {
 					return err
 				}
 				pred = p
 			}
-			a, err := expr.CompileNum(r.q.AggExpr, schema)
+			a, err := expr.CompileNum(r.sh.Agg, schema)
 			if err != nil {
 				return err
 			}
 			agg = a
-			fkIdx = make([]int, len(r.q.Dims))
-			for i, d := range r.q.Dims {
-				ix := schema.Index(d.FactFK)
+			fkIdx = make([]int, len(r.sh.Joins))
+			for i, d := range r.sh.Joins {
+				ix := schema.Index(d.FK)
 				if ix < 0 {
-					return fmt.Errorf("core: fact reader schema %v lacks FK %s", schema, d.FactFK)
+					return fmt.Errorf("core: fact reader schema %v lacks FK %s", schema, d.FK)
 				}
 				fkIdx[i] = ix
 			}

@@ -21,8 +21,8 @@ import (
 // a time. A subsequent pass over the intermediate joined result can be made
 // to join with the remaining dimension tables."
 //
-// ExecuteStaged implements that strategy: one map-only MapReduce job per
-// dimension — still with Clydesdale's per-node shared hash table (built
+// runStagedShape implements that strategy: one map-only MapReduce job per
+// join edge — still with Clydesdale's per-node shared hash table (built
 // from the local dimension cache, one task per node, JVM reuse), unlike
 // Hive's broadcast mapjoin — writing each intermediate to HDFS, followed by
 // an aggregation job. Memory high-water per node drops from the sum of the
@@ -30,128 +30,8 @@ import (
 
 var stagedSeq atomic.Int64
 
-// ExecuteStaged runs the staged plan regardless of Options.Mode.
-//
-// Deprecated: use Run with Options.Mode set to ModeStaged.
-func (e *Engine) ExecuteStaged(ctx context.Context, q *Query) (*results.ResultSet, *Report, error) {
-	return e.executeStaged(ctx, q)
-}
-
-// executeStaged runs the query with one join pass per dimension.
-func (e *Engine) executeStaged(ctx context.Context, q *Query) (*results.ResultSet, *Report, error) {
-	start := time.Now()
-	if err := q.Validate(); err != nil {
-		return nil, nil, err
-	}
-	cacheDone := e.phaseSpan(ctx, obs.PhaseDimCache)
-	if _, err := EnsureCatalogCachedFor(e.mr.FS(), e.cat, q); err != nil {
-		cacheDone()
-		return nil, nil, err
-	}
-	cacheDone()
-
-	tmp := fmt.Sprintf("/tmp/clydesdale/%s-staged-%d", q.Name, stagedSeq.Add(1))
-	defer e.mr.FS().DeletePrefix(tmp)
-
-	measures := expr.ColumnsOf([]expr.Expr{q.AggExpr}, nil)
-	factPredCols := expr.ColumnsOf(nil, []expr.Pred{q.FactPred})
-
-	// The first pass reads the pruned fact columns from CIF.
-	readCols := q.FactColumns()
-	if !e.feats.ColumnarStorage {
-		readCols = e.cat.FactSchema.Names()
-	}
-	curSchema, err := e.cat.FactSchema.Project(readCols...)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	agg := mr.NewCounters()
-	report := &Report{Query: q.Name, Staged: true}
-	var curDir string // "" means the fact table
-
-	for i := range q.Dims {
-		spec := &q.Dims[i]
-		outSchema := stagedOutSchema(curSchema, spec, i == 0, factPredCols, measures, q, i)
-		outDir := fmt.Sprintf("%s/pass-%d", tmp, i+1)
-
-		res, err := e.runStagedJoinPass(ctx, q, spec, curDir, curSchema, outDir, outSchema, i == 0)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: %s staged pass %d (%s): %w", q.Name, i+1, spec.Table, err)
-		}
-		agg.Merge(res.Counters)
-		curDir, curSchema = outDir, outSchema
-	}
-
-	rs, res, err := e.runStagedAggregation(ctx, q, curDir, curSchema)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %s staged aggregation: %w", q.Name, err)
-	}
-	agg.Merge(res.Counters)
-
-	orders := make([]results.Order, 0, len(q.OrderBy))
-	for _, o := range q.Orders() {
-		orders = append(orders, results.Order{Col: o.Col, Desc: o.Desc})
-	}
-	sortStart := time.Now()
-	if len(orders) > 0 {
-		if err := rs.Sort(orders); err != nil {
-			return nil, nil, err
-		}
-	}
-	report.SortTime = time.Since(sortStart)
-	report.Total = time.Since(start)
-	report.Job = &mr.JobResult{JobID: "staged", Counters: agg, Duration: report.Total}
-	report.fillScanStats(agg)
-	return rs, report, nil
-}
-
-// stagedOutSchema drops the consumed FK (and, on the first pass, columns
-// only the fact predicate needed) and appends the dimension's aux columns.
-func stagedOutSchema(in *records.Schema, spec *DimSpec, firstPass bool, factPredCols, measures []string, q *Query, stage int) *records.Schema {
-	var fields []records.Field
-	for i := 0; i < in.Len(); i++ {
-		f := in.Field(i)
-		if f.Name == spec.FactFK {
-			continue
-		}
-		if firstPass && predOnlyColumn(f.Name, factPredCols, measures, q, stage) {
-			continue
-		}
-		fields = append(fields, f)
-	}
-	for _, a := range spec.Aux {
-		fields = append(fields, records.F(a, spec.Schema.Field(spec.Schema.MustIndex(a)).Kind))
-	}
-	return records.NewSchema(fields...)
-}
-
-// predOnlyColumn reports whether col is needed only by the fact predicate.
-func predOnlyColumn(col string, factPredCols, measures []string, q *Query, stage int) bool {
-	inPred := false
-	for _, c := range factPredCols {
-		if c == col {
-			inPred = true
-		}
-	}
-	if !inPred {
-		return false
-	}
-	for _, c := range measures {
-		if c == col {
-			return false
-		}
-	}
-	for i := stage + 1; i < len(q.Dims); i++ {
-		if q.Dims[i].FactFK == col {
-			return false
-		}
-	}
-	return true
-}
-
-// runStagedShape executes a KindStaged physical plan directly from the
-// shape's linearized pipeline. Unlike executeStaged it is not limited to
+// runStagedShape executes a KindStaged physical plan — or a star plan that
+// ran out of memory — from the plan's pipeline steps. It is not limited to
 // star queries: snowflake edges run as additional passes probing their
 // parent's carried FK, so the chooser's always-feasible staged candidate
 // executes for any shape the IR can express.
@@ -169,24 +49,12 @@ func (e *Engine) runStagedShape(ctx context.Context, p *plan.Physical) (*results
 		return nil, nil, fmt.Errorf("core: staged plan for %s has no joins", sh.Name)
 	}
 
-	// cacheQ carries every edge so each pass finds its table cached; hintQ
-	// carries only the depth-1 edges, whose FKs are fact columns — the only
-	// ones zone-map prune hints and eager-read sets may reference.
-	cacheQ := &Query{Name: sh.Name}
-	hintQ := &Query{Name: sh.Name, FactPred: sh.FactPred}
+	edges := make([]plan.JoinEdge, len(steps))
 	for i := range steps {
-		st := &steps[i]
-		spec := DimSpec{
-			Table: st.Table, Schema: st.Schema, FactFK: st.FK, DimPK: st.PK,
-			Pred: st.Pred, Aux: append([]string(nil), st.Aux...),
-		}
-		cacheQ.Dims = append(cacheQ.Dims, spec)
-		if st.Depth == 1 {
-			hintQ.Dims = append(hintQ.Dims, spec)
-		}
+		edges[i] = steps[i].JoinEdge
 	}
 	cacheDone := e.phaseSpan(ctx, obs.PhaseDimCache)
-	if _, err := EnsureCatalogCachedFor(e.mr.FS(), e.cat, cacheQ); err != nil {
+	if _, err := EnsureCatalogCachedFor(e.mr.FS(), e.cat, edges); err != nil {
 		cacheDone()
 		return nil, nil, err
 	}
@@ -213,9 +81,8 @@ func (e *Engine) runStagedShape(ctx context.Context, p *plan.Physical) (*results
 
 	for i := range steps {
 		st := &steps[i]
-		spec := &cacheQ.Dims[i]
 		outDir := fmt.Sprintf("%s/pass-%d", tmp, i+1)
-		res, err := e.runStagedJoinPass(ctx, hintQ, spec, curDir, curSchema, outDir, st.Out, i == 0)
+		res, err := e.runStagedJoinPass(ctx, sh, edges, &edges[i], curDir, curSchema, outDir, st.Out, i == 0)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: %s staged pass %d (%s): %w", sh.Name, i+1, st.Table, err)
 		}
@@ -223,27 +90,15 @@ func (e *Engine) runStagedShape(ctx context.Context, p *plan.Physical) (*results
 		curDir, curSchema = outDir, st.Out
 	}
 
-	rs, res, err := e.runAggJob(ctx, aggJobSpec{
-		name:         "clydesdale-staged-agg-" + sh.Name,
-		agg:          sh.Agg,
-		gschema:      sh.GroupSchema(),
-		groupBy:      sh.GroupBy,
-		resultSchema: sh.ResultSchema(),
-	}, curDir, curSchema)
+	rs, res, err := e.runAggJob(ctx, "clydesdale-staged-agg-"+sh.Name, sh, curDir, curSchema)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s staged aggregation: %w", sh.Name, err)
 	}
 	agg.Merge(res.Counters)
 
-	orders := make([]results.Order, 0, len(sh.GroupBy))
-	for _, o := range sh.Orders() {
-		orders = append(orders, results.Order{Col: o.Col, Desc: o.Desc})
-	}
 	sortStart := time.Now()
-	if len(orders) > 0 {
-		if err := rs.Sort(orders); err != nil {
-			return nil, nil, err
-		}
+	if err := sortResult(rs, sh); err != nil {
+		return nil, nil, err
 	}
 	report.SortTime = time.Since(sortStart)
 	report.Total = time.Since(start)
@@ -253,8 +108,9 @@ func (e *Engine) runStagedShape(ctx context.Context, p *plan.Physical) (*results
 }
 
 // runStagedJoinPass joins the current intermediate (or the fact table) with
-// one dimension as a map-only job.
-func (e *Engine) runStagedJoinPass(ctx context.Context, q *Query, spec *DimSpec, inDir string, inSchema *records.Schema, outDir string, outSchema *records.Schema, firstPass bool) (*mr.JobResult, error) {
+// one edge's table as a map-only job; edges are the plan's join edges,
+// whose fact-side FKs drive the fact pass's prune hints and eager reads.
+func (e *Engine) runStagedJoinPass(ctx context.Context, sh *plan.Shape, edges []plan.JoinEdge, edge *plan.JoinEdge, inDir string, inSchema *records.Schema, outDir string, outSchema *records.Schema, firstPass bool) (*mr.JobResult, error) {
 	var input mr.InputFormat
 	if inDir == "" {
 		cols := inSchema.Names()
@@ -262,7 +118,7 @@ func (e *Engine) runStagedJoinPass(ctx context.Context, q *Query, spec *DimSpec,
 		// mappers read row-at-a-time, so late materialization never engages.
 		var hints []expr.Pred
 		if !e.opts.NoScanPruning {
-			hints = e.fkPruneHints(q)
+			hints = e.fkPruneHints(edges)
 		}
 		// Only the first pass scans the fact table; later passes read the
 		// previous pass's intermediate, which nothing rolls into. Pinning
@@ -275,7 +131,7 @@ func (e *Engine) runStagedJoinPass(ctx context.Context, q *Query, spec *DimSpec,
 		input = &colstore.CIFInput{
 			Dir: e.cat.FactDir, Columns: cols, Schema: e.cat.FactSchema, BlockRows: e.opts.BlockRows,
 			Snapshot: snap.Parts,
-			Pred:     q.FactPred, PrunePreds: hints, EagerColumns: factFKs(q),
+			Pred:     sh.FactPred, PrunePreds: hints, EagerColumns: factFKs(edges),
 			DisablePruning: e.opts.NoScanPruning, DisableLateMat: true,
 		}
 	} else {
@@ -283,16 +139,16 @@ func (e *Engine) runStagedJoinPass(ctx context.Context, q *Query, spec *DimSpec,
 	}
 
 	var factPred expr.RowPred
-	if firstPass && q.FactPred != nil {
-		p, err := expr.CompilePred(q.FactPred, inSchema)
+	if firstPass && sh.FactPred != nil {
+		p, err := expr.CompilePred(sh.FactPred, inSchema)
 		if err != nil {
 			return nil, err
 		}
 		factPred = p
 	}
-	fkIdx := inSchema.Index(spec.FactFK)
+	fkIdx := inSchema.Index(edge.FK)
 	if fkIdx < 0 {
-		return nil, fmt.Errorf("core: staged input lacks FK %s", spec.FactFK)
+		return nil, fmt.Errorf("core: staged input lacks FK %s", edge.FK)
 	}
 	var carryIdx []int
 	for i := 0; i < outSchema.Len(); i++ {
@@ -302,12 +158,11 @@ func (e *Engine) runStagedJoinPass(ctx context.Context, q *Query, spec *DimSpec,
 		}
 	}
 
-	dimDir, err := e.cat.DimDir(spec.Table)
+	dimDir, err := e.cat.DimDir(edge.Table)
 	if err != nil {
 		return nil, err
 	}
 	eng := e
-	specCopy := *spec
 	// One table group per pass: all of the pass's mappers share it, so each
 	// node builds this dimension's table once even when tasks run
 	// concurrently.
@@ -323,13 +178,13 @@ func (e *Engine) runStagedJoinPass(ctx context.Context, q *Query, spec *DimSpec,
 	}
 
 	job := &mr.Job{
-		Name:   fmt.Sprintf("clydesdale-staged-%s-%s", q.Name, spec.Table),
+		Name:   fmt.Sprintf("clydesdale-staged-%s-%s", sh.Name, edge.Table),
 		Conf:   conf,
 		Input:  input,
 		Output: &colstore.RowOutput{Dir: outDir, Schema: outSchema},
 		NewMapper: func() mr.Mapper {
 			return &stagedJoinMapper{
-				eng: eng, spec: &specCopy, dimDir: dimDir, group: group,
+				eng: eng, edge: edge, dimDir: dimDir, group: group,
 				factPred: factPred, fkIdx: fkIdx, carryIdx: carryIdx, outSchema: outSchema,
 			}
 		},
@@ -341,7 +196,7 @@ func (e *Engine) runStagedJoinPass(ctx context.Context, q *Query, spec *DimSpec,
 // stagedJoinMapper probes one per-node shared dimension hash table.
 type stagedJoinMapper struct {
 	eng       *Engine
-	spec      *DimSpec
+	edge      *plan.JoinEdge
 	dimDir    string
 	group     *nodeTableGroup
 	factPred  expr.RowPred
@@ -358,7 +213,7 @@ type stagedJoinMapper struct {
 func (m *stagedJoinMapper) Setup(ctx *mr.TaskContext) error {
 	build := func() (*DimHashTable, error) {
 		start := time.Now()
-		h, err := BuildDimHashTable(ctx.FS, ctx.Node(), m.dimDir, m.spec)
+		h, err := BuildDimHashTable(ctx.FS, ctx.Node(), m.dimDir, m.edge)
 		if err != nil {
 			return nil, err
 		}
@@ -410,14 +265,3 @@ func (m *stagedJoinMapper) Map(_, v records.Record, out mr.Collector) error {
 
 // Cleanup implements mr.Mapper.
 func (m *stagedJoinMapper) Cleanup(mr.Collector) error { return nil }
-
-// runStagedAggregation sums the measure grouped by the group-by columns.
-func (e *Engine) runStagedAggregation(ctx context.Context, q *Query, inDir string, inSchema *records.Schema) (*results.ResultSet, *mr.JobResult, error) {
-	return e.runAggJob(ctx, aggJobSpec{
-		name:         "clydesdale-staged-agg-" + q.Name,
-		agg:          q.AggExpr,
-		gschema:      q.GroupSchema(),
-		groupBy:      q.GroupBy,
-		resultSchema: q.ResultSchema(),
-	}, inDir, inSchema)
-}

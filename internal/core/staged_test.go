@@ -8,7 +8,7 @@ import (
 	"clydesdale/internal/core"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
-	"clydesdale/internal/records"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
 	"clydesdale/internal/ssb"
@@ -20,21 +20,33 @@ func TestStagedMatchesReference(t *testing.T) {
 	e := newEnv(t, 3, 0.002)
 	eng := e.engine(core.Options{})
 	for _, q := range ssb.Queries() {
-		rs, rep, err := eng.ExecuteStaged(context.Background(), q)
+		rs, rep, err := runStaged(eng, q)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		want, err := refexec.Run(e.gen, q)
+		want, err := refexec.RunLogical(q, e.gen.Each)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
 			t.Errorf("%s staged: %s", q.Name, why)
 		}
-		if rep.Job.Counters.Get(core.CtrHashTablesBuilt) == 0 {
-			t.Errorf("%s: no hash builds recorded", q.Name)
+		if !rep.Staged || rep.Job.Counters.Get(core.CtrHashTablesBuilt) == 0 {
+			t.Errorf("%s: staged=%v, %d hash builds recorded", q.Name, rep.Staged,
+				rep.Job.Counters.Get(core.CtrHashTablesBuilt))
 		}
 	}
+}
+
+// runStaged runs q through the staged executor: its fixed star lowering
+// with the kind switched to KindStaged.
+func runStaged(eng *core.Engine, q *plan.Logical) (*results.ResultSet, *core.Report, error) {
+	p, err := core.StarPlan(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	p.Kind = plan.KindStaged
+	return eng.RunPlan(context.Background(), p)
 }
 
 // TestStagedSurvivesTightMemory is the point of §5.1: a node budget that
@@ -46,17 +58,19 @@ func TestStagedSurvivesTightMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	per, err := core.EstimateDimHashBytes(q, func(tbl string, fn func(records.Record) error) error {
-		return gen.Each(tbl, fn)
-	})
+	p, err := core.StarPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per, err := core.EstimateDimStats(p.Shape.Joins, gen.Each)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum, max int64
-	for _, b := range per {
-		sum += b
-		if b > max {
-			max = b
+	for _, ts := range per {
+		sum += ts.HashBytes
+		if ts.HashBytes > max {
+			max = ts.HashBytes
 		}
 	}
 	if sum <= max {
@@ -72,31 +86,26 @@ func TestStagedSurvivesTightMemory(t *testing.T) {
 	}
 	eng := core.New(mr.NewEngine(c, fs, mr.Options{}), lay.Catalog(), core.Options{})
 
-	// Single-job plan must OOM.
-	if _, _, err := eng.Execute(context.Background(), q); err == nil {
-		t.Fatal("expected single-job OOM under tight budget")
+	// The single-job plan OOMs, so Run falls back to the staged plan.
+	rs, rep, err := eng.Run(context.Background(), q)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !rep.Staged {
+		t.Fatal("expected the single-job plan to OOM and Run to fall back to staged")
+	}
+	want, _ := refexec.RunLogical(q, gen.Each)
+	if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
+		t.Errorf("staged fallback under pressure: %s", why)
 	}
 
-	// Staged plan completes with correct answers.
-	rs, _, err := eng.ExecuteStaged(context.Background(), q)
+	// The staged plan, run directly, completes with correct answers.
+	rs2, _, err := runStaged(eng, q)
 	if err != nil {
 		t.Fatalf("staged: %v", err)
 	}
-	want, _ := refexec.Run(gen, q)
-	if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
-		t.Errorf("staged under pressure: %s", why)
-	}
-
-	// ExecuteAuto picks the staged path automatically.
-	rs2, _, staged, err := eng.ExecuteAuto(context.Background(), q)
-	if err != nil {
-		t.Fatalf("auto: %v", err)
-	}
-	if !staged {
-		t.Error("ExecuteAuto should have fallen back to the staged plan")
-	}
 	if ok, why := results.Equivalent(rs2, want, 1e-9); !ok {
-		t.Errorf("auto: %s", why)
+		t.Errorf("staged under pressure: %s", why)
 	}
 	// Memory fully released.
 	for _, n := range c.Nodes() {
@@ -110,28 +119,17 @@ func TestStagedSurvivesTightMemory(t *testing.T) {
 	}
 }
 
-// TestExecuteAutoPrefersSinglePass checks the fast path is used when memory
+// TestRunPrefersSinglePass checks the fast path is used when memory
 // suffices.
-func TestExecuteAutoPrefersSinglePass(t *testing.T) {
+func TestRunPrefersSinglePass(t *testing.T) {
 	e := newEnv(t, 2, 0.002)
 	eng := e.engine(core.Options{})
 	q, _ := ssb.QueryByName("Q2.1")
-	_, _, staged, err := eng.ExecuteAuto(context.Background(), q)
+	_, rep, err := eng.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if staged {
+	if rep.Staged {
 		t.Error("should not stage with ample memory")
-	}
-}
-
-// TestExecuteAutoPropagatesNonOOM ensures unrelated failures are not
-// retried as staged plans.
-func TestExecuteAutoPropagatesNonOOM(t *testing.T) {
-	e := newEnv(t, 1, 0.002)
-	eng := e.engine(core.Options{})
-	bad := &core.Query{Name: "bad"} // fails validation, not OOM
-	if _, _, _, err := eng.ExecuteAuto(context.Background(), bad); err == nil {
-		t.Error("expected validation error")
 	}
 }

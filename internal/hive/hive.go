@@ -15,9 +15,9 @@
 //     of memory on queries with large dimension hash tables (§6.4).
 //
 // The engine is deliberately faithful to the baseline's pathologies; it
-// shares the query model (core.Query), storage (RCFile fact table, row-
-// format dimensions) and MapReduce substrate with Clydesdale so that the
-// comparison isolates the plan and execution-strategy differences.
+// shares the query model (the bound plan.Logical), storage (RCFile fact
+// table, row-format dimensions) and MapReduce substrate with Clydesdale so
+// that the comparison isolates the plan and execution-strategy differences.
 package hive
 
 import (
@@ -106,20 +106,10 @@ type Report struct {
 	Total    time.Duration
 }
 
-// Execute binds a star query into the shared logical IR and runs it with
-// the staged plan.
-func (e *Engine) Execute(ctx context.Context, q *core.Query) (*results.ResultSet, *Report, error) {
-	l, err := core.LogicalOf(q, e.cat)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.ExecutePlan(ctx, l)
-}
-
-// ExecutePlan runs a bound logical plan — star or snowflake — as a sequence
+// Execute runs a bound logical plan — star or snowflake — as a sequence
 // of two-way join jobs in the shape's bind order, then the group-by and
 // order-by jobs, and returns the ordered result.
-func (e *Engine) ExecutePlan(ctx context.Context, l *plan.Logical) (*results.ResultSet, *Report, error) {
+func (e *Engine) Execute(ctx context.Context, l *plan.Logical) (*results.ResultSet, *Report, error) {
 	start := time.Now()
 	sp, err := e.lower(l)
 	if err != nil {
@@ -139,10 +129,10 @@ func (e *Engine) ExecutePlan(ctx context.Context, l *plan.Logical) (*results.Res
 			res, err = e.runRepartitionStage(ctx, sp, st, cur)
 		}
 		if err != nil {
-			return nil, report, fmt.Errorf("hive: %s stage %d (%s): %w", sp.name, i+1, st.spec.Table, err)
+			return nil, report, fmt.Errorf("hive: %s stage %d (%s): %w", sp.name, i+1, st.edge.Table, err)
 		}
 		report.Stages = append(report.Stages, StageReport{
-			Name: "join-" + st.spec.Table, Kind: "join", Duration: time.Since(stStart), Job: res,
+			Name: "join-" + st.edge.Table, Kind: "join", Duration: time.Since(stStart), Job: res,
 		})
 		report.Counters.Merge(res.Counters)
 		report.Counters.Add(CtrStages, 1)

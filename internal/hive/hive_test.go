@@ -10,7 +10,7 @@ import (
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/hive"
 	"clydesdale/internal/mr"
-	"clydesdale/internal/records"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
 	"clydesdale/internal/ssb"
@@ -51,7 +51,7 @@ func TestAllQueriesMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", strategy, q.Name, err)
 			}
-			want, err := refexec.Run(e.gen, q)
+			want, err := refexec.RunLogical(q, e.gen.Each)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,8 +60,9 @@ func TestAllQueriesMatchReference(t *testing.T) {
 			}
 			// Plan shape: one join stage per dimension + group-by (+
 			// order-by when the query orders).
-			wantStages := len(q.Dims) + 1
-			if len(q.OrderBy) > 0 {
+			sh := shapeOf(t, q)
+			wantStages := len(sh.Joins) + 1
+			if len(sh.OrderBy) > 0 {
 				wantStages++
 			}
 			if int(rep.Counters.Get(hive.CtrStages)) != wantStages {
@@ -92,8 +93,8 @@ func TestMapJoinLoadsHashPerTask(t *testing.T) {
 	if loads != joinMapTasks {
 		t.Errorf("hash loads = %d, join map tasks = %d; expected one load per task", loads, joinMapTasks)
 	}
-	if rep.Counters.Get(hive.CtrHashBroadcasts) != int64(len(q.Dims)) {
-		t.Errorf("broadcasts = %d, want %d", rep.Counters.Get(hive.CtrHashBroadcasts), len(q.Dims))
+	if rep.Counters.Get(hive.CtrHashBroadcasts) != int64(len(shapeOf(t, q).Joins)) {
+		t.Errorf("broadcasts = %d, want %d", rep.Counters.Get(hive.CtrHashBroadcasts), len(shapeOf(t, q).Joins))
 	}
 }
 
@@ -127,11 +128,13 @@ func TestMapJoinOOMOnConstrainedCluster(t *testing.T) {
 	q, _ := ssb.QueryByName("Q3.1")
 
 	// One copy of Q3.1's hash tables.
-	oneCopy, err := core.EstimateHashTableBytes(q, func(tbl string, fn func(r records.Record) error) error {
-		return gen.Each(tbl, fn)
-	})
+	per, err := core.EstimateDimStats(shapeOf(t, q).Joins, gen.Each)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var oneCopy int64
+	for _, ts := range per {
+		oneCopy += ts.HashBytes
 	}
 
 	slots := 3
@@ -157,15 +160,19 @@ func TestMapJoinOOMOnConstrainedCluster(t *testing.T) {
 	if err != nil {
 		t.Fatalf("repartition: %v", err)
 	}
-	want, _ := refexec.Run(gen, q)
+	want, _ := refexec.RunLogical(q, gen.Each)
 	if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
 		t.Errorf("repartition under memory pressure: %s", why)
 	}
 
-	// Clydesdale succeeds: one shared copy per node fits.
-	crs, _, err := core.New(eng, lay.Catalog(), core.Options{}).Execute(context.Background(), q)
+	// Clydesdale succeeds: one shared copy per node fits, so the single
+	// job runs without the staged fallback.
+	crs, crep, err := core.New(eng, lay.Catalog(), core.Options{}).Run(context.Background(), q)
 	if err != nil {
 		t.Fatalf("clydesdale: %v", err)
+	}
+	if crep.Staged {
+		t.Error("clydesdale fell back to the staged plan; one table copy per node should fit")
 	}
 	if ok, why := results.Equivalent(crs, want, 1e-9); !ok {
 		t.Errorf("clydesdale under memory pressure: %s", why)
@@ -194,4 +201,14 @@ func TestIntermediateResultsRoundTripHDFS(t *testing.T) {
 	if files := e.fs.List("/tmp/hive/"); len(files) != 0 {
 		t.Errorf("leftover intermediates: %v", files)
 	}
+}
+
+// shapeOf decomposes q.
+func shapeOf(t *testing.T, q *plan.Logical) *plan.Shape {
+	t.Helper()
+	sh, err := plan.Decompose(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sh
 }

@@ -3,7 +3,6 @@ package hive
 import (
 	"fmt"
 
-	"clydesdale/internal/core"
 	"clydesdale/internal/expr"
 	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
@@ -32,8 +31,7 @@ type stagedPlan struct {
 // the IR's pipeline step: outSchema is the step's output (carried columns
 // then this table's aux columns), auxSchema types just the aux columns.
 type joinStage struct {
-	spec          core.DimSpec
-	fk            string
+	edge          plan.JoinEdge
 	auxSchema     *records.Schema
 	outDir        string
 	outSchema     *records.Schema
@@ -84,12 +82,7 @@ func (e *Engine) lower(l *plan.Logical) (*stagedPlan, error) {
 	for i := range steps {
 		st := &steps[i]
 		sp.joins = append(sp.joins, joinStage{
-			spec: core.DimSpec{
-				Table: st.Table, Schema: st.Schema,
-				FactFK: st.FK, DimPK: st.PK,
-				Pred: st.Pred, Aux: append([]string(nil), st.Aux...),
-			},
-			fk:            st.FK,
+			edge:          st.JoinEdge,
 			auxSchema:     st.AuxSchema(),
 			outDir:        fmt.Sprintf("%s/stage-%d", sp.tmpDir, i+1),
 			outSchema:     st.Out,

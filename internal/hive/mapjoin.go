@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"clydesdale/internal/colstore"
-	"clydesdale/internal/core"
 	"clydesdale/internal/expr"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/plan"
@@ -31,21 +30,21 @@ func (e *Engine) runMapJoinStage(ctx context.Context, sp *stagedPlan, st *joinSt
 	// Driver-side build: scan the dimension from HDFS (the driver is not a
 	// cluster node), filter, and serialize [pk, aux...] entries.
 	buildStart := time.Now()
-	dimDir, err := e.cat.DimDir(st.spec.Table)
+	dimDir, err := e.cat.DimDir(st.edge.Table)
 	if err != nil {
 		return nil, err
 	}
 	var dimPred expr.RowPred
-	if st.spec.Pred != nil {
-		dimPred, err = expr.CompilePred(st.spec.Pred, st.spec.Schema)
+	if st.edge.Pred != nil {
+		dimPred, err = expr.CompilePred(st.edge.Pred, st.edge.Schema)
 		if err != nil {
 			return nil, err
 		}
 	}
-	pkIdx := st.spec.Schema.MustIndex(st.spec.DimPK)
-	auxIdx := make([]int, len(st.spec.Aux))
-	for i, a := range st.spec.Aux {
-		auxIdx[i] = st.spec.Schema.MustIndex(a)
+	pkIdx := st.edge.Schema.MustIndex(st.edge.PK)
+	auxIdx := make([]int, len(st.edge.Aux))
+	for i, a := range st.edge.Aux {
+		auxIdx[i] = st.edge.Schema.MustIndex(a)
 	}
 	var blob []byte
 	entrySchema := anonSchema(1 + len(auxIdx))
@@ -66,7 +65,7 @@ func (e *Engine) runMapJoinStage(ctx context.Context, sp *stagedPlan, st *joinSt
 	}
 	buildDur := time.Since(buildStart)
 
-	cachePath := fmt.Sprintf("%s/hashtable-%s", sp.tmpDir, st.spec.Table)
+	cachePath := fmt.Sprintf("%s/hashtable-%s", sp.tmpDir, st.edge.Table)
 	e.mr.FS().Delete(cachePath)
 	if err := e.mr.FS().WriteFile(cachePath, "", blob); err != nil {
 		return nil, err
@@ -79,14 +78,14 @@ func (e *Engine) runMapJoinStage(ctx context.Context, sp *stagedPlan, st *joinSt
 			return nil, err
 		}
 	}
-	fkIdx := in.schema.MustIndex(st.fk)
+	fkIdx := in.schema.MustIndex(st.edge.FK)
 	carryIdx, err := projectionIndexes(in.schema, st.outSchema, st.auxSchema)
 	if err != nil {
 		return nil, err
 	}
 
 	job := &mr.Job{
-		Name:       fmt.Sprintf("hive-mapjoin-%s-%s", sp.name, st.spec.Table),
+		Name:       fmt.Sprintf("hive-mapjoin-%s-%s", sp.name, st.edge.Table),
 		Conf:       mr.NewJobConf(), // note: no JVM reuse, default task memory
 		Input:      bigInput,
 		Output:     &colstore.RowOutput{Dir: st.outDir, Schema: st.outSchema},
@@ -176,46 +175,3 @@ func (m *mapJoinMapper) Map(_, v records.Record, out mr.Collector) error {
 
 // Cleanup implements mr.Mapper.
 func (m *mapJoinMapper) Cleanup(mr.Collector) error { return nil }
-
-// EstimateMapJoinHashBytes computes the memory one deserialized mapjoin
-// hash-table copy occupies per query dimension (in query order), by
-// evaluating the dimension predicates over rows supplied by each(table).
-// The per-entry model is plan.MapJoinEntryBytes — the boxed map
-// mapJoinMapper.Setup builds — which keeps this estimate, Setup's runtime
-// accounting, and the cost model's feasibility check in exact agreement;
-// the benchmark harness calibrates the §6.4 OOM budgets from it: each
-// mapjoin task holds one dimension at a time, so its constraint is the
-// *maximum* dimension.
-func EstimateMapJoinHashBytes(q *core.Query, each func(table string, fn func(records.Record) error) error) ([]int64, error) {
-	out := make([]int64, len(q.Dims))
-	for i := range q.Dims {
-		spec := &q.Dims[i]
-		var pred expr.RowPred
-		if spec.Pred != nil {
-			p, err := expr.CompilePred(spec.Pred, spec.Schema)
-			if err != nil {
-				return nil, err
-			}
-			pred = p
-		}
-		auxIx := make([]int, len(spec.Aux))
-		for j, a := range spec.Aux {
-			auxIx[j] = spec.Schema.MustIndex(a)
-		}
-		aux := make([]records.Value, len(auxIx))
-		err := each(spec.Table, func(rec records.Record) error {
-			if pred != nil && !pred(rec) {
-				return nil
-			}
-			for j, ix := range auxIx {
-				aux[j] = rec.At(ix)
-			}
-			out[i] += plan.MapJoinEntryBytes(aux)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}

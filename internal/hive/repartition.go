@@ -83,16 +83,16 @@ func (e *Engine) runRepartitionStage(ctx context.Context, sp *stagedPlan, st *jo
 	if err != nil {
 		return nil, err
 	}
-	dimDir, err := e.cat.DimDir(st.spec.Table)
+	dimDir, err := e.cat.DimDir(st.edge.Table)
 	if err != nil {
 		return nil, err
 	}
-	dimInput := &colstore.RowInput{Dir: dimDir, Schema: st.spec.Schema}
+	dimInput := &colstore.RowInput{Dir: dimDir, Schema: st.edge.Schema}
 
 	// Compile what the mapper needs.
 	var dimPred expr.RowPred
-	if st.spec.Pred != nil {
-		dimPred, err = expr.CompilePred(st.spec.Pred, st.spec.Schema)
+	if st.edge.Pred != nil {
+		dimPred, err = expr.CompilePred(st.edge.Pred, st.edge.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -104,19 +104,19 @@ func (e *Engine) runRepartitionStage(ctx context.Context, sp *stagedPlan, st *jo
 			return nil, err
 		}
 	}
-	dimPK := st.spec.Schema.MustIndex(st.spec.DimPK)
-	auxIdx := make([]int, len(st.spec.Aux))
-	for i, a := range st.spec.Aux {
-		auxIdx[i] = st.spec.Schema.MustIndex(a)
+	dimPK := st.edge.Schema.MustIndex(st.edge.PK)
+	auxIdx := make([]int, len(st.edge.Aux))
+	for i, a := range st.edge.Aux {
+		auxIdx[i] = st.edge.Schema.MustIndex(a)
 	}
-	fkIdx := in.schema.MustIndex(st.fk)
+	fkIdx := in.schema.MustIndex(st.edge.FK)
 	carryIdx, err := projectionIndexes(in.schema, st.outSchema, st.auxSchema)
 	if err != nil {
 		return nil, err
 	}
 
 	job := &mr.Job{
-		Name:  fmt.Sprintf("hive-rep-%s-%s", sp.name, st.spec.Table),
+		Name:  fmt.Sprintf("hive-rep-%s-%s", sp.name, st.edge.Table),
 		Conf:  mr.NewJobConf(),
 		Input: &taggedInput{sources: []mr.InputFormat{dimInput, bigInput}},
 		Output: &colstore.RowOutput{

@@ -73,7 +73,7 @@ type TableStats struct {
 	// FilteredRows is the row count surviving the table's predicate.
 	FilteredRows int64
 	// HashBytes is the open-addressing dimension hash table footprint
-	// (core.EstimateDimHashBytes model).
+	// (the core.EstimateDimStats model).
 	HashBytes int64
 	// MapJoinBytes is the boxed java-style hash table footprint
 	// (48 bytes/entry + aux, the hive mapjoin model).
@@ -162,9 +162,9 @@ func (s *Stats) buckets() int {
 
 // MapJoinEntryBytes models one boxed hash table entry of a Hive-style
 // mapjoin or a cascade side table: object headers plus the carried aux
-// payload. hive.EstimateMapJoinHashBytes and the cascade side-table loader
-// both charge this, so the cost model and the executors agree byte for
-// byte.
+// payload. core.EstimateDimStats, the Hive mapjoin loader and the cascade
+// side-table loader all charge this, so the cost model and the executors
+// agree byte for byte.
 func MapJoinEntryBytes(aux []records.Value) int64 {
 	n := int64(48)
 	for _, v := range aux {

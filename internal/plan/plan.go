@@ -78,12 +78,6 @@ func (j *Join) Schema() *records.Schema {
 // Children implements Node.
 func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
 
-// Requires is the join's required-partitioning property: for a
-// co-partitioned (map-side, shuffle-free) execution, the probe input must
-// arrive hash-partitioned on the probe key, with the build side bucketed by
-// the same function.
-func (j *Join) Requires() Partitioning { return Partitioning{Key: j.LeftKey} }
-
 // Aggregate computes one SUM measure over the input, grouped by GroupBy
 // columns.
 type Aggregate struct {
@@ -133,7 +127,7 @@ type OrderKey struct {
 // hash-partitioned on Key into Buckets buckets, or unconstrained when Key
 // is empty. All writers and side-table builders must place keys with the
 // same bucket function (see the co-partitioned output contract,
-// mr.BucketOf) for a Satisfies answer to mean anything across jobs.
+// mr.BucketOf) for a cascade's map-side joins to line up across jobs.
 type Partitioning struct {
 	Key     string
 	Buckets int
@@ -141,14 +135,6 @@ type Partitioning struct {
 
 // IsNone reports an unconstrained (or unknown) distribution.
 func (p Partitioning) IsNone() bool { return p.Key == "" }
-
-// Satisfies reports whether rows distributed like p meet requirement req.
-func (p Partitioning) Satisfies(req Partitioning) bool {
-	if req.IsNone() {
-		return true
-	}
-	return p.Key == req.Key && (req.Buckets == 0 || p.Buckets == req.Buckets)
-}
 
 // String renders the property for EXPLAIN output.
 func (p Partitioning) String() string {

@@ -29,7 +29,7 @@ func TestPlannerSSBEndToEnd(t *testing.T) {
 	}
 	eng := core.New(mr.NewEngine(c, fs, mr.Options{}), lay.Catalog(), core.Options{})
 	for _, q := range ssb.Queries() {
-		phys, err := eng.Plan(q)
+		phys, err := eng.PlanLogical(q)
 		if err != nil {
 			t.Fatalf("%s: plan: %v", q.Name, err)
 		}
@@ -40,7 +40,7 @@ func TestPlannerSSBEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: run: %v", q.Name, err)
 		}
-		want, err := refexec.Run(gen, q)
+		want, err := refexec.RunLogical(q, gen.Each)
 		if err != nil {
 			t.Fatalf("%s: ref: %v", q.Name, err)
 		}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strings"
 
 	"clydesdale/internal/expr"
 	"clydesdale/internal/records"
@@ -30,6 +31,19 @@ type JoinEdge struct {
 	// group-by columns (in group order) plus the FK columns of its child
 	// edges.
 	Aux []string
+}
+
+// Fingerprint identifies the hash table this edge builds over a given
+// table directory: the build key, the build-time predicate, and the carried
+// aux columns. Two edges with equal fingerprints over the same directory
+// produce byte-identical tables, so a cross-query cache may share one
+// build between them.
+func (e *JoinEdge) Fingerprint() string {
+	p := "TRUE"
+	if e.Pred != nil {
+		p = e.Pred.String()
+	}
+	return e.PK + "|" + p + "|" + strings.Join(e.Aux, ",")
 }
 
 // Shape is a canonicalized logical plan: a filtered fact scan, a join

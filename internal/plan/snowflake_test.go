@@ -97,7 +97,7 @@ func TestSnowflakePropertyAllStrategiesAgree(t *testing.T) {
 				// strategies must agree too.
 				for _, strat := range []hive.JoinStrategy{hive.Repartition, hive.MapJoin} {
 					heng := hive.New(e.mr, e.lay.RCCatalog(e.snow), hive.Options{Strategy: strat})
-					got, _, err := heng.ExecutePlan(context.Background(), l)
+					got, _, err := heng.Execute(context.Background(), l)
 					if err != nil {
 						t.Fatalf("q%d hive %s: %v", qi, strat, err)
 					}

@@ -1,3 +1,8 @@
+// Package refexec is the trusted, single-process reference executor (the
+// oracle): it evaluates a bound logical plan directly over in-memory rows
+// with plain hash joins, with no MapReduce, storage formats or distribution
+// involved. The integration tests hold every Clydesdale lowering and the
+// Hive baseline to its answers.
 package refexec
 
 import (
@@ -26,7 +31,7 @@ func RunLogical(l *plan.Logical, each func(table string, fn func(records.Record)
 	rs := &results.ResultSet{Schema: l.Root.Schema(), Rows: rows}
 
 	// Deterministic output: honor the plan's ORDER BY, else sort by the
-	// group columns ascending (the convention refexec.Run shares).
+	// group columns ascending (the convention every executor shares).
 	var orders []results.Order
 	node := l.Root
 	if o, ok := node.(*plan.Order); ok {
@@ -90,8 +95,11 @@ func evalNode(n plan.Node, each func(table string, fn func(records.Record) error
 		if err != nil {
 			return nil, err
 		}
-		lIx := t.Left.Schema().MustIndex(t.LeftKey)
-		rIx := t.Right.Schema().MustIndex(t.RightKey)
+		lIx := t.Left.Schema().Index(t.LeftKey)
+		rIx := t.Right.Schema().Index(t.RightKey)
+		if lIx < 0 || rIx < 0 {
+			return nil, fmt.Errorf("refexec: join key %s = %s is not produced by its inputs", t.LeftKey, t.RightKey)
+		}
 		build := make(map[string][]records.Record, len(right))
 		for _, r := range right {
 			k := string(records.AppendValue(nil, r.At(rIx)))
@@ -122,7 +130,9 @@ func evalNode(n plan.Node, each func(table string, fn func(records.Record) error
 		}
 		gIdx := make([]int, len(t.GroupBy))
 		for i, g := range t.GroupBy {
-			gIdx[i] = inSchema.MustIndex(g)
+			if gIdx[i] = inSchema.Index(g); gIdx[i] < 0 {
+				return nil, fmt.Errorf("refexec: group column %s is not produced by the plan", g)
+			}
 		}
 		type groupState struct {
 			key []records.Value

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"clydesdale/internal/expr"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/results"
 	"clydesdale/internal/ssb"
@@ -12,14 +13,18 @@ import (
 func TestAllQueriesRun(t *testing.T) {
 	gen := ssb.NewGenerator(0.002, 42)
 	for _, q := range ssb.Queries() {
-		rs, err := Run(gen, q)
+		rs, err := RunLogical(q, gen.Each)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		if rs.Schema.Len() != len(q.GroupBy)+1 {
+		sh, err := plan.Decompose(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		if !rs.Schema.Equal(sh.ResultSchema()) {
 			t.Errorf("%s: schema %v", q.Name, rs.Schema)
 		}
-		if len(q.GroupBy) == 0 && len(rs.Rows) != 1 {
+		if len(sh.GroupBy) == 0 && len(rs.Rows) != 1 {
 			t.Errorf("%s: grand aggregate returned %d rows", q.Name, len(rs.Rows))
 		}
 	}
@@ -33,7 +38,7 @@ func TestQ11AgainstBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := Run(gen, q)
+	rs, err := RunLogical(q, gen.Each)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +76,7 @@ func TestQ11AgainstBruteForce(t *testing.T) {
 func TestQ31GroupingAgainstBruteForce(t *testing.T) {
 	gen := ssb.NewGenerator(0.002, 42)
 	q, _ := ssb.QueryByName("Q3.1")
-	rs, err := Run(gen, q)
+	rs, err := RunLogical(q, gen.Each)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,24 +186,25 @@ func TestResultSetHelpers(t *testing.T) {
 
 func TestRunErrorOnBadQuery(t *testing.T) {
 	gen := ssb.NewGenerator(0.002, 1)
-	q := &ssb.Query{
-		Name: "bad",
-		Dims: []ssb.DimSpec{{
-			Table: ssb.TableDate, FactFK: "lo_orderdate", DimPK: "d_datekey",
-			Pred: expr.Eq(expr.Col("nope"), expr.ConstInt(1)),
-		}},
-		AggExpr: expr.Col("lo_revenue"), AggName: "r",
-	}
-	if _, err := Run(gen, q); err == nil {
+	fact := &plan.Scan{Table: ssb.TableLineorder, Source: ssb.LineorderSchema, Fact: true}
+	date := &plan.Scan{Table: ssb.TableDate, Source: ssb.DateSchema}
+	q := &plan.Logical{Name: "bad", Root: &plan.Aggregate{
+		Input: &plan.Join{Left: fact, LeftKey: "lo_orderdate", RightKey: "d_datekey",
+			Right: &plan.Filter{Input: date, Pred: expr.Eq(expr.Col("nope"), expr.ConstInt(1))}},
+		Agg: expr.Col("lo_revenue"), AggName: "r",
+	}}
+	if _, err := RunLogical(q, gen.Each); err == nil {
 		t.Error("expected error for bad dim predicate")
 	}
-	q2 := &ssb.Query{
-		Name:    "badgroup",
-		Dims:    []ssb.DimSpec{{Table: ssb.TableDate, FactFK: "lo_orderdate", DimPK: "d_datekey"}},
-		AggExpr: expr.Col("lo_revenue"), AggName: "r",
-		GroupBy: []string{"d_year"}, // not in aux
+	q2 := &plan.Logical{Name: "badgroup", Root: &plan.Aggregate{
+		Input: &plan.Join{Left: fact, Right: date, LeftKey: "lo_orderdate", RightKey: "d_datekey"},
+		Agg:   expr.Col("lo_revenue"), AggName: "r",
+		GroupBy: []string{"nope"}, // produced by no input
+	}}
+	if _, err := RunLogical(q2, gen.Each); err == nil {
+		t.Error("expected error for an unknown group column")
 	}
-	if _, err := Run(gen, q2); err == nil {
-		t.Error("expected error for group column without aux")
+	if _, err := RunLogical(nil, gen.Each); err == nil {
+		t.Error("expected error for a nil plan")
 	}
 }

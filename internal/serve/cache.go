@@ -11,6 +11,7 @@ import (
 	"clydesdale/internal/core"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
+	"clydesdale/internal/plan"
 )
 
 // tableCache keeps built dimension hash tables resident per node across
@@ -45,15 +46,15 @@ type tableCache struct {
 // (join key, predicate, aux projection). Two lookups with equal keys probe
 // byte-identical tables; bumping the generation retires every outstanding
 // key at once without touching the entries that carry them.
-func (c *tableCache) keyFor(dimDir string, spec *core.DimSpec) string {
+func (c *tableCache) keyFor(dimDir string, edge *plan.JoinEdge) string {
 	c.mu.Lock()
 	g := c.gens[dimDir]
 	c.mu.Unlock()
-	return keyAt(dimDir, g, spec)
+	return keyAt(dimDir, g, edge)
 }
 
-func keyAt(dimDir string, gen uint64, spec *core.DimSpec) string {
-	return fmt.Sprintf("%s\x00%d\x00%s", dimDir, gen, spec.Fingerprint())
+func keyAt(dimDir string, gen uint64, edge *plan.JoinEdge) string {
+	return fmt.Sprintf("%s\x00%d\x00%s", dimDir, gen, edge.Fingerprint())
 }
 
 type nodeCache struct {
@@ -102,12 +103,12 @@ func NewTableProvider(budget int64) core.TableProvider {
 }
 
 // AcquireDimTable implements core.TableProvider: return the node's resident
-// table for the spec, building (and reserving node memory for) it on first
+// table for the edge, building (and reserving node memory for) it on first
 // use. The returned release unpins the table; the bytes stay resident —
 // and reserved — until LRU eviction or Close.
-func (c *tableCache) AcquireDimTable(ctx *mr.TaskContext, dimDir string, spec *core.DimSpec) (*core.DimHashTable, func(), error) {
+func (c *tableCache) AcquireDimTable(ctx *mr.TaskContext, dimDir string, edge *plan.JoinEdge) (*core.DimHashTable, func(), error) {
 	node := ctx.Node()
-	key := c.keyFor(dimDir, spec)
+	key := c.keyFor(dimDir, edge)
 
 	c.mu.Lock()
 	nc, ok := c.nodes[node.ID()]
@@ -143,7 +144,7 @@ func (c *tableCache) AcquireDimTable(ctx *mr.TaskContext, dimDir string, spec *c
 
 	c.misses.Add(1)
 	start := time.Now()
-	ht, err := core.BuildDimHashTable(ctx.FS, node, dimDir, spec)
+	ht, err := core.BuildDimHashTable(ctx.FS, node, dimDir, edge)
 	if err == nil {
 		// Make room under the budget before taking the node reservation, so
 		// a full cache cycles instead of spuriously OOMing the build.
@@ -180,7 +181,7 @@ func (c *tableCache) AcquireDimTable(ctx *mr.TaskContext, dimDir string, spec *c
 	c.builds.Add(1)
 	ctx.Counters.Add(core.CtrHashTablesBuilt, 1)
 	ctx.Counters.Add(core.CtrHashBuildNanos, time.Since(start).Nanoseconds())
-	ctx.Span(obs.PhaseHashBuild, start, "table", spec.Table, "cache", "miss")
+	ctx.Span(obs.PhaseHashBuild, start, "table", edge.Table, "cache", "miss")
 	return ht, func() { c.unpin(node, nc, e) }, nil
 }
 

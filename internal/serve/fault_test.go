@@ -7,6 +7,7 @@ import (
 
 	"clydesdale/internal/core"
 	"clydesdale/internal/mr"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
 	"clydesdale/internal/serve"
@@ -35,7 +36,7 @@ func TestServeSurvivesNodeDeathBetweenQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, err := refexec.Run(e.gen, q)
+		want, err := refexec.RunLogical(q, e.gen.Each)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func TestServeAdmissionNoLivelockWhenCacheFull(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(i int, q *core.Query) {
+		go func(i int, q *plan.Logical) {
 			defer wg.Done()
 			sets[i], _, errs[i] = s.Query(context.Background(), q)
 		}(i, q)
@@ -105,7 +106,7 @@ func TestServeAdmissionNoLivelockWhenCacheFull(t *testing.T) {
 			t.Fatalf("%s: %v", name, errs[i])
 		}
 		q, _ := ssb.QueryByName(name)
-		want, err := refexec.Run(e.gen, q)
+		want, err := refexec.RunLogical(q, e.gen.Each)
 		if err != nil {
 			t.Fatal(err)
 		}

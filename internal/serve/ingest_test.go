@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/core"
 	"clydesdale/internal/mr"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
@@ -49,14 +51,10 @@ func emitRange(gen *ssb.Generator, lo, hi int64, datekey int64) func(emit func(r
 
 // refWith runs the reference executor over the generator plus extra fact
 // rows.
-func refWith(t *testing.T, e *env, q *core.Query, extras ...[]records.Record) *results.ResultSet {
+func refWith(t *testing.T, e *env, q *plan.Logical, extras ...[]records.Record) *results.ResultSet {
 	t.Helper()
 	cat := e.lay.Catalog()
-	l, err := core.LogicalOf(q, cat)
-	if err != nil {
-		t.Fatalf("%s: %v", q.Name, err)
-	}
-	rs, err := refexec.RunLogical(l, func(table string, fn func(records.Record) error) error {
+	rs, err := refexec.RunLogical(q, func(table string, fn func(records.Record) error) error {
 		if err := e.gen.Each(table, fn); err != nil {
 			return err
 		}
@@ -103,25 +101,38 @@ func TestServeDimRollInRebuildsTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := refexec.Run(e.gen, q)
+	want, err := refexec.RunLogical(q, e.gen.Each)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() {
+	// run returns the nodes that ran the query's map tasks: the scheduler
+	// may leave a node without a task, and a node builds tables only for
+	// the tasks it runs.
+	run := func() map[string]bool {
 		t.Helper()
-		rs, _, err := s.Query(context.Background(), q)
+		rs, rep, err := s.Query(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
 			t.Fatal(why)
 		}
+		nodes := map[string]bool{}
+		for _, task := range rep.Job.Tasks {
+			if strings.HasPrefix(task.TaskID, "m-") {
+				nodes[task.Node] = true
+			}
+		}
+		return nodes
 	}
 
-	run()
+	coldNodes := run()
 	cold := s.Stats().Builds
 	if cold == 0 {
 		t.Fatal("first query built no tables")
+	}
+	if want := int64(3 * len(coldNodes)); cold != want { // Q2.1 joins 3 tables
+		t.Fatalf("cold builds = %d, want %d (3 tables x %d nodes)", cold, want, len(coldNodes))
 	}
 	// Warm: the result cache answers, nothing rebuilds.
 	run()
@@ -158,12 +169,18 @@ func TestServeDimRollInRebuildsTables(t *testing.T) {
 	}
 
 	// Next query must rebuild the rolled-in dimension's table on every node
-	// (the other dimensions stay warm) and recompute rather than hit the
-	// result cache.
+	// it runs on (the other dimensions stay warm where the cold run built
+	// them) and recompute rather than hit the result cache.
 	hitsBefore := st.ResultHits
-	run()
+	postNodes := run()
 	st = s.Stats()
-	if wantBuilds := cold + workers; st.Builds != wantBuilds {
+	wantBuilds := cold + int64(len(postNodes))
+	for n := range postNodes {
+		if !coldNodes[n] {
+			wantBuilds += 2 // the date and part tables were never built here
+		}
+	}
+	if st.Builds != wantBuilds {
 		t.Fatalf("post-roll-in builds = %d, want %d (stale tables served?)", st.Builds, wantBuilds)
 	}
 	if st.ResultHits != hitsBefore {
@@ -214,7 +231,7 @@ func TestServeSnapshotIsolationOracle(t *testing.T) {
 	sets := make([]*results.ResultSet, len(queries))
 	for i, q := range queries {
 		wg.Add(1)
-		go func(i int, q *core.Query) {
+		go func(i int, q *plan.Logical) {
 			defer wg.Done()
 			sets[i], _, errs[i] = s.Query(context.Background(), q)
 		}(i, q)

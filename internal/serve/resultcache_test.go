@@ -2,17 +2,18 @@ package serve_test
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
 	"clydesdale/internal/colstore"
-	"clydesdale/internal/core"
-	"clydesdale/internal/expr"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
 	"clydesdale/internal/serve"
+	"clydesdale/internal/sql"
 	"clydesdale/internal/ssb"
 )
 
@@ -42,7 +43,7 @@ func TestServeResultCacheSingleflight(t *testing.T) {
 	}
 	wg.Wait()
 
-	want, err := refexec.Run(e.gen, q)
+	want, err := refexec.RunLogical(q, e.gen.Each)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,20 +68,21 @@ func TestServeResultCacheSingleflight(t *testing.T) {
 // narrowedQ41 clones Q4.1 with an extra date-dimension predicate reading
 // only a group-by column (d_year) — the shape the subsumption rule serves by
 // post-filtering the cached broad result's group rows.
-func narrowedQ41(t *testing.T) *core.Query {
+func narrowedQ41(t *testing.T) *plan.Logical {
 	t.Helper()
-	broad, err := ssb.QueryByName("Q4.1")
-	if err != nil {
-		t.Fatal(err)
+	for _, q := range ssb.QuerySQL {
+		if q.Name != "Q4.1" {
+			continue
+		}
+		l, err := sql.Parse(strings.Replace(q.Text, "GROUP BY", "AND d_year = 1997 GROUP BY", 1), ssb.SchemaCatalog())
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Name = q.Name
+		return l
 	}
-	q := *broad
-	q.Dims = append([]core.DimSpec(nil), broad.Dims...)
-	d := &q.Dims[0] // date dimension: no predicate in broad Q4.1
-	if d.Table != "date" || d.Pred != nil {
-		t.Fatalf("Q4.1 dim 0 = %s pred %v; the narrowing below needs updating", d.Table, d.Pred)
-	}
-	d.Pred = expr.Eq(expr.Col("d_year"), expr.ConstInt(1997))
-	return &q
+	t.Fatal("no Q4.1 in the SSB query set")
+	return nil
 }
 
 // TestServeResultCacheSubsumption: after the broad Q4.1 is cached, the
@@ -116,7 +118,7 @@ func TestServeResultCacheSubsumption(t *testing.T) {
 	if st := s.Stats(); st.ResultSubsumedHits != 1 {
 		t.Errorf("subsumption hits = %d, want 1", st.ResultSubsumedHits)
 	}
-	want, err := refexec.Run(e.gen, narrow)
+	want, err := refexec.RunLogical(narrow, e.gen.Each)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +174,8 @@ func TestServeResultCacheRollInInvalidates(t *testing.T) {
 	if jobs := reg.Counter("mr.jobs_submitted").Value(); jobs == jobsBefore {
 		t.Error("post-roll-in query served from cache; invalidation must force recompute")
 	}
-	got := after.Rows[0].Get(q.AggName).Float64()
-	want := 2 * before.Rows[0].Get(q.AggName).Float64()
+	got := after.Rows[0].At(0).Float64()
+	want := 2 * before.Rows[0].At(0).Float64()
 	if got != want {
 		t.Errorf("post-roll-in revenue = %v, want exactly doubled %v", got, want)
 	}

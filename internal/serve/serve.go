@@ -2,7 +2,7 @@
 // concurrent star-join workloads first-class. The paper's §8 leaves the
 // multi-workload setting as future work; this layer supplies the three
 // pieces that setting needs. (1) A cross-query dimension hash-table cache:
-// per-node tables keyed by (dimDir, DimSpec fingerprint) survive job
+// per-node tables keyed by (dimDir, join-edge fingerprint) survive job
 // completion in a residency-accounted LRU, so query N+1 probes the tables
 // query N built. (2) Admission control: a query's estimated table memory is
 // checked against a per-node budget before submission, and over-budget
@@ -239,14 +239,17 @@ func (s *Session) slo(class, outcome string, latency time.Duration) {
 // Engine exposes the session's core engine (e.g. for catalog access).
 func (s *Session) Engine() *core.Engine { return s.eng }
 
-// Query runs one star query through the result cache, admission control and
-// the shared table cache. It blocks while queued; ctx cancels both the wait
-// and, once running, the query itself. ctx also carries the tenant identity
-// (WithTenant) the admission controller fair-shares on. Each call is one
-// trace: the session emits the root "query" span, every job/task/read span
-// the query causes parents into it via the context, and the assembled
-// profile lands in the flight recorder.
-func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet, *core.Report, error) {
+// Query runs one bound star plan through the result cache, admission
+// control and the shared table cache. It blocks while queued; ctx cancels
+// both the wait and, once running, the query itself. ctx also carries the
+// tenant identity (WithTenant) the admission controller fair-shares on.
+// Each call is one trace: the session emits the root "query" span, every
+// job/task/read span the query causes parents into it via the context, and
+// the assembled profile lands in the flight recorder. The plan is lowered
+// once (core.StarPlan): a malformed or snowflake plan fails here, before it
+// touches the caches or admission, and its shape feeds the cache key, the
+// admission estimate, the result ordering and the run.
+func (s *Session) Query(ctx context.Context, l *plan.Logical) (*results.ResultSet, *core.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -259,7 +262,18 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 	s.mu.Unlock()
 	defer s.wg.Done()
 
-	class := QueryClass(q.Name)
+	p, err := core.StarPlan(l)
+	if err != nil {
+		name := ""
+		if l != nil {
+			name = l.Name
+		}
+		s.slo(QueryClass(name), "error", 0)
+		return nil, nil, fmt.Errorf("serve: %w", err)
+	}
+	sh := p.Shape
+	name := sh.Name
+	class := QueryClass(name)
 	tenant := TenantFrom(ctx)
 	qstart := time.Now()
 	var sc obs.SpanContext
@@ -274,32 +288,31 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 	// the publish below (or the abort on any failure path) must always run.
 	var cachePublish func(*results.ResultSet)
 	if s.rcache != nil {
-		if key, fp, ok := s.cacheKey(q); ok {
-			crs, kind, publish, lerr := s.rcache.lookup(ctx, key, fp)
-			if lerr != nil {
-				s.slo(class, "error", 0)
-				s.finishTrace(sc, q, qstart, lerr, nil)
-				return nil, nil, fmt.Errorf("serve: %s: %w", q.Name, lerr)
-			}
-			if kind != "miss" {
-				if err := crs.Sort(resultOrders(q)); err != nil {
-					s.slo(class, "error", 0)
-					s.finishTrace(sc, q, qstart, err, nil)
-					return nil, nil, fmt.Errorf("serve: %s: %w", q.Name, err)
-				}
-				rep := &core.Report{
-					Query: q.Name,
-					// No job ran; synthesize empty counters so report
-					// consumers need no cache-hit special case.
-					Job:   &mr.JobResult{Counters: mr.NewCounters()},
-					Total: time.Since(qstart),
-				}
-				s.slo(class, "ok", time.Since(qstart))
-				s.finishTrace(sc, q, qstart, nil, rep)
-				return crs, rep, nil
-			}
-			cachePublish = publish
+		key := plan.KeyOf(sh)
+		crs, kind, publish, lerr := s.rcache.lookup(ctx, &key, key.Fingerprint())
+		if lerr != nil {
+			s.slo(class, "error", 0)
+			s.finishTrace(sc, name, qstart, lerr, nil)
+			return nil, nil, fmt.Errorf("serve: %s: %w", name, lerr)
 		}
+		if kind != "miss" {
+			if err := sortResult(crs, sh); err != nil {
+				s.slo(class, "error", 0)
+				s.finishTrace(sc, name, qstart, err, nil)
+				return nil, nil, fmt.Errorf("serve: %s: %w", name, err)
+			}
+			rep := &core.Report{
+				Query: name,
+				// No job ran; synthesize empty counters so report
+				// consumers need no cache-hit special case.
+				Job:   &mr.JobResult{Counters: mr.NewCounters()},
+				Total: time.Since(qstart),
+			}
+			s.slo(class, "ok", time.Since(qstart))
+			s.finishTrace(sc, name, qstart, nil, rep)
+			return crs, rep, nil
+		}
+		cachePublish = publish
 	}
 	defer func() {
 		if cachePublish != nil {
@@ -307,10 +320,10 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 		}
 	}()
 
-	cost, err := s.admissionCost(q)
+	cost, err := s.admissionCost(sh)
 	if err != nil {
 		s.slo(class, "error", 0)
-		s.finishTrace(sc, q, qstart, err, nil)
+		s.finishTrace(sc, name, qstart, err, nil)
 		return nil, nil, err
 	}
 
@@ -322,13 +335,13 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 			outcome = "shed"
 		}
 		s.slo(class, outcome, 0)
-		s.finishTrace(sc, q, qstart, err, nil)
-		return nil, nil, fmt.Errorf("serve: %s: %w", q.Name, err)
+		s.finishTrace(sc, name, qstart, err, nil)
+		return nil, nil, fmt.Errorf("serve: %s: %w", name, err)
 	}
 	defer release()
-	s.observeQueueWait(sc, q, waitStart)
+	s.observeQueueWait(sc, name, waitStart)
 
-	rs, rep, err := s.eng.Run(ctx, q)
+	rs, rep, err := s.eng.RunPlan(ctx, p)
 	if err == nil {
 		if cachePublish != nil {
 			cachePublish(rs)
@@ -338,36 +351,20 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 	} else {
 		s.slo(class, "error", 0)
 	}
-	s.finishTrace(sc, q, qstart, err, rep)
+	s.finishTrace(sc, name, qstart, err, rep)
 	return rs, rep, err
 }
 
-// cacheKey canonicalizes the query into its result-cache identity; ok is
-// false for queries the plan layer cannot normalize (those just bypass the
-// cache rather than fail).
-func (s *Session) cacheKey(q *core.Query) (*plan.CacheKey, string, bool) {
-	lg, err := core.LogicalOf(q, s.cat)
-	if err != nil {
-		return nil, "", false
+// sortResult applies the shape's effective ORDER BY to a cached result
+// (cached rows are re-sorted per query; ordering is not part of the cache
+// identity).
+func sortResult(rs *results.ResultSet, sh *plan.Shape) error {
+	keys := sh.Orders()
+	orders := make([]results.Order, len(keys))
+	for i, o := range keys {
+		orders[i] = results.Order{Col: o.Col, Desc: o.Desc}
 	}
-	sh, err := plan.Decompose(lg)
-	if err != nil {
-		return nil, "", false
-	}
-	k := plan.KeyOf(sh)
-	return &k, k.Fingerprint(), true
-}
-
-// resultOrders is the query's effective ORDER BY in the result package's
-// vocabulary (cached rows are re-sorted per query; ordering is not part of
-// the cache identity).
-func resultOrders(q *core.Query) []results.Order {
-	ords := q.Orders()
-	out := make([]results.Order, len(ords))
-	for i, o := range ords {
-		out[i] = results.Order{Col: o.Col, Desc: o.Desc}
-	}
-	return out
+	return rs.Sort(orders)
 }
 
 // InvalidateTable drops every cached result whose plan read the named table
@@ -612,7 +609,7 @@ func (s *Session) syncGauges() {
 // finishTrace emits the root query span, claims the trace's spans from the
 // collector, and records the assembled profile in the flight recorder. A
 // no-op for untraced queries.
-func (s *Session) finishTrace(sc obs.SpanContext, q *core.Query, start time.Time, qerr error, rep *core.Report) {
+func (s *Session) finishTrace(sc obs.SpanContext, name string, start time.Time, qerr error, rep *core.Report) {
 	if !sc.Valid() {
 		return
 	}
@@ -622,7 +619,7 @@ func (s *Session) finishTrace(sc obs.SpanContext, q *core.Query, start time.Time
 			status = "error"
 		}
 		root := obs.Span{Name: obs.PhaseQuery, Start: start, End: time.Now(),
-			Attrs: obs.Attrs("query", q.Name, "status", status)}
+			Attrs: obs.Attrs("query", name, "status", status)}
 		sc.Fill(&root, "")
 		tr.Emit(root)
 	}
@@ -650,14 +647,14 @@ func (s *Session) finishTrace(sc obs.SpanContext, q *core.Query, start time.Time
 
 // observeQueueWait surfaces the admission wait as a span (parented under
 // the query's root) and a histogram sample on the engine's tracer/registry.
-func (s *Session) observeQueueWait(sc obs.SpanContext, q *core.Query, start time.Time) {
+func (s *Session) observeQueueWait(sc obs.SpanContext, name string, start time.Time) {
 	end := time.Now()
 	if tr := s.mrEng.Tracer(); tr.Enabled() {
 		span := obs.Span{
 			Name:  obs.PhaseAdmissionWait,
 			Start: start,
 			End:   end,
-			Attrs: obs.Attrs("query", q.Name),
+			Attrs: obs.Attrs("query", name),
 		}
 		sc.NewChild().Fill(&span, sc.Span)
 		tr.Emit(span)
@@ -670,24 +667,22 @@ func (s *Session) observeQueueWait(sc obs.SpanContext, q *core.Query, start time
 // admissionCost estimates the per-node bytes admitting the query adds: the
 // exact build size of each dimension table not already resident on every
 // live node (cached tables are free — that is the point of the cache),
-// plus the configured task working memory. Estimates reuse
-// core.EstimateDimHashBytes, which mirrors the build layout byte-for-byte,
-// over a driver-side scan of the dimension master copy; each (dimDir,
-// fingerprint) is estimated once per session.
-func (s *Session) admissionCost(q *core.Query) (int64, error) {
+// plus the configured task working memory. Estimates come from
+// core.EstimateDimStats, whose HashBytes mirrors the build layout
+// byte-for-byte, over a driver-side scan of the dimension master copy;
+// each (dimDir, fingerprint) is estimated once per session.
+func (s *Session) admissionCost(sh *plan.Shape) (int64, error) {
 	nodeIDs := s.aliveIDs()
-	var missing []int // dim indices needing a fresh estimate
-	keys := make([]string, len(q.Dims))
-	dirs := make([]string, len(q.Dims))
-	for i := range q.Dims {
-		dir, err := s.cat.DimDir(q.Dims[i].Table)
+	keys := make([]string, len(sh.Joins))
+	for i := range sh.Joins {
+		dir, err := s.cat.DimDir(sh.Joins[i].Table)
 		if err != nil {
 			return 0, err
 		}
-		dirs[i] = dir
-		keys[i] = s.cache.keyFor(dir, &q.Dims[i])
+		keys[i] = s.cache.keyFor(dir, &sh.Joins[i])
 	}
 
+	var missing []int // edge indices needing a fresh estimate
 	s.estMu.Lock()
 	for i, k := range keys {
 		if _, ok := s.estimates[k]; !ok {
@@ -697,23 +692,23 @@ func (s *Session) admissionCost(q *core.Query) (int64, error) {
 	s.estMu.Unlock()
 
 	if len(missing) > 0 {
-		need := make(map[string]string, len(missing)) // table → dir
-		for _, i := range missing {
-			need[q.Dims[i].Table] = dirs[i]
+		edges := make([]plan.JoinEdge, len(missing))
+		for j, i := range missing {
+			edges[j] = sh.Joins[i]
 		}
-		per, err := core.EstimateDimHashBytes(q, func(table string, fn func(records.Record) error) error {
-			dir, ok := need[table]
-			if !ok {
-				return nil // already estimated; contributes nothing here
+		per, err := core.EstimateDimStats(edges, func(table string, fn func(records.Record) error) error {
+			dir, err := s.cat.DimDir(table)
+			if err != nil {
+				return err
 			}
 			return colstore.ScanRowTable(s.mrEng.FS(), dir, "", fn)
 		})
 		if err != nil {
-			return 0, fmt.Errorf("serve: estimating %s tables: %w", q.Name, err)
+			return 0, fmt.Errorf("serve: estimating %s tables: %w", sh.Name, err)
 		}
 		s.estMu.Lock()
-		for _, i := range missing {
-			s.estimates[keys[i]] = per[i]
+		for j, i := range missing {
+			s.estimates[keys[i]] = per[j].HashBytes
 		}
 		s.estMu.Unlock()
 	}

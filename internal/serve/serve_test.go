@@ -3,14 +3,17 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/core"
+	"clydesdale/internal/expr"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
 	"clydesdale/internal/serve"
@@ -52,16 +55,20 @@ func (e *env) checkNoLeak(t *testing.T) {
 
 // distinctTables counts the distinct (dimDir, fingerprint) keys across the
 // queries — the number of builds the cache should perform per node.
-func distinctTables(t *testing.T, cat *core.Catalog, queries []*core.Query) int {
+func distinctTables(t *testing.T, cat *core.Catalog, queries []*plan.Logical) int {
 	t.Helper()
 	seen := map[string]bool{}
 	for _, q := range queries {
-		for i := range q.Dims {
-			dir, err := cat.DimDir(q.Dims[i].Table)
+		sh, err := plan.Decompose(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range sh.Joins {
+			dir, err := cat.DimDir(sh.Joins[i].Table)
 			if err != nil {
 				t.Fatal(err)
 			}
-			seen[dir+"\x00"+q.Dims[i].Fingerprint()] = true
+			seen[dir+"\x00"+sh.Joins[i].Fingerprint()] = true
 		}
 	}
 	return len(seen)
@@ -89,7 +96,7 @@ func TestServeConcurrentQueries(t *testing.T) {
 	sets := make([]*results.ResultSet, len(queries))
 	for i, q := range queries {
 		wg.Add(1)
-		go func(i int, q *core.Query) {
+		go func(i int, q *plan.Logical) {
 			defer wg.Done()
 			sets[i], _, errs[i] = s.Query(context.Background(), q)
 		}(i, q)
@@ -100,7 +107,7 @@ func TestServeConcurrentQueries(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("%s: %v", q.Name, errs[i])
 		}
-		want, err := refexec.Run(e.gen, q)
+		want, err := refexec.RunLogical(q, e.gen.Each)
 		if err != nil {
 			t.Fatalf("%s ref: %v", q.Name, err)
 		}
@@ -244,7 +251,7 @@ func TestServeCancellationReleasesMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := refexec.Run(e.gen, q)
+	want, err := refexec.RunLogical(q, e.gen.Each)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +292,7 @@ func TestServeCacheHitSkipsHashBuild(t *testing.T) {
 	if hits := s.Stats().Hits; hits == 0 {
 		t.Errorf("warm run recorded no cache hits")
 	}
-	want, err := refexec.Run(e.gen, q)
+	want, err := refexec.RunLogical(q, e.gen.Each)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,4 +334,91 @@ func countSpans(spans []obs.Span, name string) int {
 		}
 	}
 	return n
+}
+
+// TestMalformedPlansReturnErrors feeds the three plan entry points —
+// Engine.Run, Engine.RunPlan and Session.Query — plans they cannot run: a
+// nil plan, a plan with no root, and a snowflake plan on the single-pass
+// star path. Each must return an error (never panic), must not fall back
+// to the staged plan (these are not out-of-memory failures), and must leave
+// nothing held: no admission slot, no node memory reservation, and no
+// snapshot pin (a pin would keep retired fact partitions on disk).
+func TestMalformedPlansReturnErrors(t *testing.T) {
+	e := newEnv(t, 2, 0.002, mr.Options{})
+	s := e.session(serve.Options{})
+	defer s.Close()
+	eng := s.Engine()
+	ctx := context.Background()
+
+	// A structurally valid snowflake: supplier joins through a customer
+	// column, so its edge has depth 2.
+	snow := &plan.Logical{Name: "snow", Root: &plan.Aggregate{
+		Input: &plan.Join{
+			Left: &plan.Join{
+				Left:    &plan.Scan{Table: ssb.TableLineorder, Source: ssb.LineorderSchema, Fact: true},
+				Right:   &plan.Scan{Table: ssb.TableCustomer, Source: ssb.CustomerSchema},
+				LeftKey: "lo_custkey", RightKey: "c_custkey",
+			},
+			Right:   &plan.Scan{Table: ssb.TableSupplier, Source: ssb.SupplierSchema},
+			LeftKey: "c_custkey", RightKey: "s_suppkey",
+		},
+		Agg: expr.Col("lo_revenue"), AggName: "revenue",
+	}}
+	snowShape, err := plan.Decompose(snow)
+	if err != nil {
+		t.Fatalf("snowflake fixture does not decompose: %v", err)
+	}
+	logicals := map[string]*plan.Logical{
+		"nil":       nil,
+		"nil-root":  {Name: "empty"},
+		"snowflake": snow,
+	}
+	physicals := map[string]*plan.Physical{
+		"nil":            nil,
+		"nil-shape":      {Kind: plan.KindStar},
+		"snowflake-star": {Shape: snowShape, Kind: plan.KindStar},
+	}
+	noFallback := func(name string, rep *core.Report, err error) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
+		if errors.Is(err, core.ErrOOM) || (rep != nil && rep.Staged) {
+			t.Errorf("%s: retried as a staged plan: %v", name, err)
+		}
+	}
+	for name, l := range logicals {
+		_, rep, err := eng.Run(ctx, l)
+		noFallback("Engine.Run/"+name, rep, err)
+		_, rep, err = s.Query(ctx, l)
+		noFallback("Session.Query/"+name, rep, err)
+	}
+	for name, p := range physicals {
+		_, rep, err := eng.RunPlan(ctx, p)
+		noFallback("Engine.RunPlan/"+name, rep, err)
+	}
+
+	if st := s.Stats(); st.Admitted != 0 || st.Running != 0 || st.Queued != 0 {
+		t.Errorf("admission state after malformed plans: admitted=%d running=%d queued=%d",
+			st.Admitted, st.Running, st.Queued)
+	}
+	for _, n := range e.cluster.Nodes() {
+		if used := n.MemoryUsed(); used != 0 {
+			t.Errorf("%s holds %d bytes after malformed plans", n.ID(), used)
+		}
+	}
+	// Retire every fact partition: with no snapshot pinned, each is
+	// physically deleted at once.
+	retired, err := s.RetainFact("lo_orderdate", math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(retired) == 0 {
+		t.Fatal("retention retired nothing; the pin check exercised nothing")
+	}
+	for _, p := range retired {
+		if files := e.fs.List(p + "/"); len(files) != 0 {
+			t.Errorf("retired partition %s still on disk (%d files): a snapshot pin leaked", p, len(files))
+		}
+	}
 }

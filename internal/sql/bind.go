@@ -9,24 +9,6 @@ import (
 	"clydesdale/internal/records"
 )
 
-// Star describes the tables a statement may reference: one fact table and
-// its dimensions.
-//
-// Deprecated: bind against a core.Catalog with Parse; Star remains only to
-// serve ParseStar.
-type Star struct {
-	Fact       string
-	FactSchema *records.Schema
-	Dims       map[string]*records.Schema
-}
-
-// StarFromCatalog builds the binder's table view from an engine catalog.
-//
-// Deprecated: pass the catalog itself to Parse.
-func StarFromCatalog(cat *core.Catalog, factName string) *Star {
-	return &Star{Fact: factName, FactSchema: cat.FactSchema, Dims: cat.DimSchemas}
-}
-
 // Parse compiles a SQL string against the catalog's tables into a bound
 // logical plan. Join edges may relate the fact table to a dimension or a
 // joined dimension to a further dimension (a snowflake chain); the only
@@ -38,24 +20,6 @@ func Parse(input string, cat *core.Catalog) (*plan.Logical, error) {
 		return nil, err
 	}
 	return bind(st, cat)
-}
-
-// ParseStar compiles a SQL string against a star schema into a core.Query.
-//
-// Deprecated: use Parse with the engine catalog; it returns the logical
-// plan all three executors now accept. ParseStar still works for pure star
-// statements but rejects snowflake joins, which core.Query cannot express.
-func ParseStar(input string, star *Star) (*core.Query, error) {
-	cat := &core.Catalog{
-		FactName:   star.Fact,
-		FactSchema: star.FactSchema,
-		DimSchemas: star.Dims,
-	}
-	l, err := Parse(input, cat)
-	if err != nil {
-		return nil, err
-	}
-	return core.QueryFromLogical(l)
 }
 
 // binder resolves column ownership for the tables a statement references.

@@ -1,7 +1,7 @@
-// Package sql implements a small SQL front end for star queries: the
-// SELECT/FROM/WHERE/GROUP BY/ORDER BY subset that covers the Star Schema
-// Benchmark, parsed and bound against a star-schema catalog into the
-// engine-neutral core.Query both engines execute. The paper writes queries
+// Package sql implements a small SQL front end for star and snowflake
+// queries: the SELECT/FROM/WHERE/GROUP BY/ORDER BY subset that covers the
+// Star Schema Benchmark, parsed and bound against a catalog into the
+// logical plan (plan.Logical) every executor lowers. The paper writes queries
 // as Java MapReduce programs (Figure 4); this package is the convenience
 // layer a downstream user would expect.
 package sql

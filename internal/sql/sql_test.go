@@ -1,4 +1,4 @@
-package sql
+package sql_test
 
 import (
 	"strings"
@@ -9,141 +9,38 @@ import (
 	"clydesdale/internal/records"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
+	"clydesdale/internal/sql"
 	"clydesdale/internal/ssb"
 )
 
-// ssbSQL is each SSB query in SQL, adapted to this repo's schema (brands
-// carry two-digit numbers; see the ssb package comment).
-var ssbSQL = map[string]string{
-	"Q1.1": `SELECT SUM(lo_extendedprice * lo_discount) AS revenue
-		FROM lineorder, date
-		WHERE lo_orderdate = d_datekey AND d_year = 1993
-		  AND lo_discount BETWEEN 1 AND 3 AND lo_quantity < 25;`,
-	"Q1.2": `SELECT SUM(lo_extendedprice * lo_discount) AS revenue
-		FROM lineorder, date
-		WHERE lo_orderdate = d_datekey AND d_yearmonthnum = 199401
-		  AND lo_discount BETWEEN 4 AND 6 AND lo_quantity BETWEEN 26 AND 35;`,
-	"Q1.3": `SELECT SUM(lo_extendedprice * lo_discount) AS revenue
-		FROM lineorder, date
-		WHERE lo_orderdate = d_datekey AND d_weeknuminyear = 6 AND d_year = 1994
-		  AND lo_discount BETWEEN 5 AND 7 AND lo_quantity BETWEEN 26 AND 35;`,
-	"Q2.1": `SELECT SUM(lo_revenue) AS revenue, d_year, p_brand1
-		FROM lineorder, date, part, supplier
-		WHERE lo_orderdate = d_datekey AND lo_partkey = p_partkey AND lo_suppkey = s_suppkey
-		  AND p_category = 'MFGR#12' AND s_region = 'AMERICA'
-		GROUP BY d_year, p_brand1 ORDER BY d_year, p_brand1;`,
-	"Q2.2": `SELECT SUM(lo_revenue) AS revenue, d_year, p_brand1
-		FROM lineorder, date, part, supplier
-		WHERE lo_orderdate = d_datekey AND lo_partkey = p_partkey AND lo_suppkey = s_suppkey
-		  AND p_brand1 BETWEEN 'MFGR#2221' AND 'MFGR#2228' AND s_region = 'ASIA'
-		GROUP BY d_year, p_brand1 ORDER BY d_year, p_brand1;`,
-	"Q2.3": `SELECT SUM(lo_revenue) AS revenue, d_year, p_brand1
-		FROM lineorder, date, part, supplier
-		WHERE lo_orderdate = d_datekey AND lo_partkey = p_partkey AND lo_suppkey = s_suppkey
-		  AND p_brand1 = 'MFGR#2239' AND s_region = 'EUROPE'
-		GROUP BY d_year, p_brand1 ORDER BY d_year, p_brand1;`,
-	"Q3.1": `SELECT c_nation, s_nation, d_year, SUM(lo_revenue) AS revenue
-		FROM customer, lineorder, supplier, date
-		WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey AND lo_orderdate = d_datekey
-		  AND c_region = 'ASIA' AND s_region = 'ASIA' AND d_year >= 1992 AND d_year <= 1997
-		GROUP BY c_nation, s_nation, d_year ORDER BY d_year ASC, revenue DESC;`,
-	"Q3.2": `SELECT c_city, s_city, d_year, SUM(lo_revenue) AS revenue
-		FROM customer, lineorder, supplier, date
-		WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey AND lo_orderdate = d_datekey
-		  AND c_nation = 'UNITED STATES' AND s_nation = 'UNITED STATES'
-		  AND d_year >= 1992 AND d_year <= 1997
-		GROUP BY c_city, s_city, d_year ORDER BY d_year ASC, revenue DESC;`,
-	"Q3.3": `SELECT c_city, s_city, d_year, SUM(lo_revenue) AS revenue
-		FROM customer, lineorder, supplier, date
-		WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey AND lo_orderdate = d_datekey
-		  AND c_city IN ('UNITED KI1', 'UNITED KI5') AND s_city IN ('UNITED KI1', 'UNITED KI5')
-		  AND d_year >= 1992 AND d_year <= 1997
-		GROUP BY c_city, s_city, d_year ORDER BY d_year ASC, revenue DESC;`,
-	"Q3.4": `SELECT c_city, s_city, d_year, SUM(lo_revenue) AS revenue
-		FROM customer, lineorder, supplier, date
-		WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey AND lo_orderdate = d_datekey
-		  AND c_city IN ('UNITED KI1', 'UNITED KI5') AND s_city IN ('UNITED KI1', 'UNITED KI5')
-		  AND d_yearmonth = 'Dec1997'
-		GROUP BY c_city, s_city, d_year ORDER BY d_year ASC, revenue DESC;`,
-	"Q4.1": `SELECT d_year, c_nation, SUM(lo_revenue - lo_supplycost) AS profit
-		FROM date, customer, supplier, part, lineorder
-		WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey
-		  AND lo_partkey = p_partkey AND lo_orderdate = d_datekey
-		  AND c_region = 'AMERICA' AND s_region = 'AMERICA'
-		  AND p_mfgr IN ('MFGR#1', 'MFGR#2')
-		GROUP BY d_year, c_nation ORDER BY d_year, c_nation;`,
-	"Q4.2": `SELECT d_year, s_nation, p_category, SUM(lo_revenue - lo_supplycost) AS profit
-		FROM date, customer, supplier, part, lineorder
-		WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey
-		  AND lo_partkey = p_partkey AND lo_orderdate = d_datekey
-		  AND c_region = 'AMERICA' AND s_region = 'AMERICA'
-		  AND d_year IN (1997, 1998) AND p_mfgr IN ('MFGR#1', 'MFGR#2')
-		GROUP BY d_year, s_nation, p_category ORDER BY d_year, s_nation, p_category;`,
-	"Q4.3": `SELECT d_year, s_city, p_brand1, SUM(lo_revenue - lo_supplycost) AS profit
-		FROM date, customer, supplier, part, lineorder
-		WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey
-		  AND lo_partkey = p_partkey AND lo_orderdate = d_datekey
-		  AND c_region = 'AMERICA' AND s_nation = 'UNITED STATES'
-		  AND d_year IN (1997, 1998) AND p_category = 'MFGR#14'
-		GROUP BY d_year, s_city, p_brand1 ORDER BY d_year, s_city, p_brand1;`,
-}
-
-func ssbStar() *Star {
-	return &Star{
-		Fact:       ssb.TableLineorder,
-		FactSchema: ssb.LineorderSchema,
-		Dims: map[string]*records.Schema{
-			ssb.TableCustomer: ssb.CustomerSchema,
-			ssb.TableSupplier: ssb.SupplierSchema,
-			ssb.TablePart:     ssb.PartSchema,
-			ssb.TableDate:     ssb.DateSchema,
-		},
-	}
-}
-
-// TestSSBQueriesFromSQLMatchCatalog parses every SSB query from SQL and
-// checks that the reference executor produces the same answers as for the
-// hand-built catalog query.
+// TestSSBQueriesFromSQLMatchCatalog binds every SSB query text against a
+// storage catalog (the one a loaded dataset exposes) and checks it yields
+// the same plan — same cache identity, same EXPLAIN — and the same
+// reference answers as the schema-only catalog ssb.Queries binds against.
 func TestSSBQueriesFromSQLMatchCatalog(t *testing.T) {
 	gen := ssb.NewGenerator(0.002, 42)
-	star := ssbStar()
-	for _, q := range ssb.Queries() {
-		text, ok := ssbSQL[q.Name]
-		if !ok {
-			t.Fatalf("no SQL text for %s", q.Name)
-		}
-		parsed, err := ParseStar(text, star)
+	lay := &ssb.Layout{FactCIF: "/ssb/lineorder.cif", Dims: map[string]string{
+		ssb.TableCustomer: "/ssb/customer", ssb.TableSupplier: "/ssb/supplier",
+		ssb.TablePart: "/ssb/part", ssb.TableDate: "/ssb/date",
+	}}
+	qs := ssb.Queries()
+	for i, text := range ssb.QuerySQL {
+		parsed, err := sql.Parse(text.Text, lay.Catalog())
 		if err != nil {
-			t.Fatalf("%s: %v", q.Name, err)
+			t.Fatalf("%s: %v", text.Name, err)
 		}
-		parsed.Name = q.Name
-
-		// Structural checks: same dimensions (order may differ from the
-		// catalog's where the SQL FROM order differs), same group-by.
-		if len(parsed.Dims) != len(q.Dims) {
-			t.Errorf("%s: %d dims, want %d", q.Name, len(parsed.Dims), len(q.Dims))
+		parsed.Name = text.Name
+		q := qs[i]
+		if got, want := explain(t, parsed), explain(t, q); got != want {
+			t.Errorf("%s: plans differ:\n%s\nvs\n%s", q.Name, got, want)
 		}
-		if len(parsed.GroupBy) != len(q.GroupBy) {
-			t.Errorf("%s: group by %v, want %v", q.Name, parsed.GroupBy, q.GroupBy)
-		}
-
-		got, err := refexec.Run(gen, parsed)
+		got, err := refexec.RunLogical(parsed, gen.Each)
 		if err != nil {
 			t.Fatalf("%s parsed run: %v", q.Name, err)
 		}
-		want, err := refexec.Run(gen, q)
+		want, err := refexec.RunLogical(q, gen.Each)
 		if err != nil {
 			t.Fatalf("%s catalog run: %v", q.Name, err)
-		}
-		// Group column order may differ between SQL text and catalog spec;
-		// compare against a projection-aligned view.
-		if !parsed.ResultSchema().Equal(q.ResultSchema()) {
-			aligned := &results.ResultSet{Schema: q.ResultSchema()}
-			names := q.ResultSchema().Names()
-			for _, r := range got.Rows {
-				aligned.Rows = append(aligned.Rows, r.MustProject(names...))
-			}
-			got = aligned
 		}
 		if ok, why := results.Equivalent(got, want, 1e-9); !ok {
 			t.Errorf("%s: SQL and catalog answers differ: %s", q.Name, why)
@@ -151,8 +48,24 @@ func TestSSBQueriesFromSQLMatchCatalog(t *testing.T) {
 	}
 }
 
+// explain renders the plan the chooser picks under default statistics
+// plus its cache identity.
+func explain(t *testing.T, l *plan.Logical) string {
+	t.Helper()
+	p, err := plan.Choose(l, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", l.Name, err)
+	}
+	var b strings.Builder
+	if err := plan.Explain(&b, p); err != nil {
+		t.Fatal(err)
+	}
+	k := plan.KeyOf(p.Shape)
+	return b.String() + k.Fingerprint()
+}
+
 func TestParseErrors(t *testing.T) {
-	star := ssbStar()
+	cat := ssb.SchemaCatalog()
 	cases := []struct {
 		name, text, wantErr string
 	}{
@@ -174,7 +87,7 @@ func TestParseErrors(t *testing.T) {
 		{"bad char", "SELECT SUM(lo_revenue) FROM lineorder @", "unexpected character"},
 	}
 	for _, c := range cases {
-		_, err := ParseStar(c.text, star)
+		_, err := sql.Parse(c.text, cat)
 		if err == nil {
 			t.Errorf("%s: expected error", c.name)
 			continue
@@ -186,38 +99,41 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseDefaults(t *testing.T) {
-	star := ssbStar()
-	q, err := ParseStar("SELECT SUM(lo_revenue) FROM lineorder, date WHERE lo_orderdate = d_datekey", star)
-	if err != nil {
-		t.Fatal(err)
+	cat := ssb.SchemaCatalog()
+	shape := func(text string) *plan.Shape {
+		t.Helper()
+		l, err := sql.Parse(text, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, err := plan.Decompose(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sh
 	}
-	if q.AggName != "sum" {
-		t.Errorf("default agg name = %q", q.AggName)
+	sh := shape("SELECT SUM(lo_revenue) FROM lineorder, date WHERE lo_orderdate = d_datekey")
+	if sh.AggName != "sum" {
+		t.Errorf("default agg name = %q", sh.AggName)
 	}
-	if q.FactPred != nil || len(q.GroupBy) != 0 || len(q.OrderBy) != 0 {
+	if sh.FactPred != nil || len(sh.GroupBy) != 0 || len(sh.OrderBy) != 0 {
 		t.Error("unexpected clauses")
 	}
 	// Reversed join order (dim column on the left) binds identically.
-	q2, err := ParseStar("SELECT SUM(lo_revenue) FROM lineorder, date WHERE d_datekey = lo_orderdate", star)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q2.Dims[0].FactFK != "lo_orderdate" || q2.Dims[0].DimPK != "d_datekey" {
-		t.Errorf("reversed join bound as %s=%s", q2.Dims[0].FactFK, q2.Dims[0].DimPK)
+	sh2 := shape("SELECT SUM(lo_revenue) FROM lineorder, date WHERE d_datekey = lo_orderdate")
+	if sh2.Joins[0].FK != "lo_orderdate" || sh2.Joins[0].PK != "d_datekey" {
+		t.Errorf("reversed join bound as %s=%s", sh2.Joins[0].FK, sh2.Joins[0].PK)
 	}
 	// Float literals and division parse.
-	q3, err := ParseStar("SELECT SUM(lo_revenue / 100.5) FROM lineorder, date WHERE lo_orderdate = d_datekey", star)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q3.AggExpr == nil {
+	sh3 := shape("SELECT SUM(lo_revenue / 100.5) FROM lineorder, date WHERE lo_orderdate = d_datekey")
+	if sh3.Agg == nil {
 		t.Error("no aggregate expr")
 	}
 }
 
 // TestParseSnowflake binds a statement whose second join hangs off a
 // dimension rather than the fact table, which the logical IR expresses and
-// the deprecated star binding rejects.
+// the single-pass star lowering rejects.
 func TestParseSnowflake(t *testing.T) {
 	cat := &core.Catalog{
 		FactName: "f",
@@ -241,7 +157,7 @@ func TestParseSnowflake(t *testing.T) {
 	// until a joins.
 	text := `SELECT b_attr, SUM(f_m) AS total FROM f, a, b
 		WHERE a_b_fk = b_pk AND f_a_fk = a_pk GROUP BY b_attr`
-	l, err := Parse(text, cat)
+	l, err := sql.Parse(text, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +178,8 @@ func TestParseSnowflake(t *testing.T) {
 		t.Errorf("edge b bound as %+v", deep)
 	}
 
-	// The star wrapper cannot express the chain.
-	star := &Star{Fact: "f", FactSchema: cat.FactSchema, Dims: cat.DimSchemas}
-	if _, err := ParseStar(text, star); err == nil {
-		t.Error("ParseStar accepted a snowflake statement")
+	// The single-pass star join cannot express the chain.
+	if _, err := core.StarPlan(l); err == nil {
+		t.Error("StarPlan accepted a snowflake statement")
 	}
 }

@@ -93,12 +93,17 @@ func (l *Layout) Catalog() *core.Catalog {
 		FactDir:    l.FactCIF,
 		FactSchema: LineorderSchema,
 		DimDirs:    l.Dims,
-		DimSchemas: map[string]*records.Schema{
-			TableCustomer: CustomerSchema,
-			TableSupplier: SupplierSchema,
-			TablePart:     PartSchema,
-			TableDate:     DateSchema,
-		},
+		DimSchemas: dimSchemas(),
+	}
+}
+
+// dimSchemas maps each SSB dimension to its schema.
+func dimSchemas() map[string]*records.Schema {
+	return map[string]*records.Schema{
+		TableCustomer: CustomerSchema,
+		TableSupplier: SupplierSchema,
+		TablePart:     PartSchema,
+		TableDate:     DateSchema,
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/hdfs"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
+	"clydesdale/internal/sql"
 )
 
 func TestCardinalities(t *testing.T) {
@@ -165,38 +167,29 @@ func TestQueriesCatalog(t *testing.T) {
 		"Q3.1": 3, "Q3.2": 3, "Q3.3": 3, "Q3.4": 3,
 		"Q4.1": 4, "Q4.2": 4, "Q4.3": 4,
 	}
-	for _, q := range qs {
-		if len(q.Dims) != wantDims[q.Name] {
-			t.Errorf("%s: %d dims, want %d", q.Name, len(q.Dims), wantDims[q.Name])
+	for i, q := range qs {
+		if q.Name != QuerySQL[i].Name {
+			t.Errorf("query %d is %s, want %s", i, q.Name, QuerySQL[i].Name)
 		}
-		if q.AggExpr == nil || q.AggName == "" {
+		sh, err := plan.Decompose(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		if len(sh.Joins) != wantDims[q.Name] {
+			t.Errorf("%s: %d dims, want %d", q.Name, len(sh.Joins), wantDims[q.Name])
+		}
+		if sh.Agg == nil || sh.AggName == "" {
 			t.Errorf("%s: missing aggregate", q.Name)
 		}
-		for _, d := range q.Dims {
-			if PKOf(d.Table) != d.DimPK || FKOf(d.Table) != d.FactFK {
-				t.Errorf("%s: %s join keys %s=%s", q.Name, d.Table, d.FactFK, d.DimPK)
-			}
-			for _, aux := range d.Aux {
-				if SchemaOf(d.Table).Index(aux) < 0 {
-					t.Errorf("%s: aux %s not in %s", q.Name, aux, d.Table)
-				}
+		if sh.MaxDepth() != 1 {
+			t.Errorf("%s: not a pure star (depth %d)", q.Name, sh.MaxDepth())
+		}
+		for _, d := range sh.Joins {
+			if PKOf(d.Table) != d.PK || FKOf(d.Table) != d.FK {
+				t.Errorf("%s: %s join keys %s=%s", q.Name, d.Table, d.FK, d.PK)
 			}
 		}
-		// Group-by columns must come from dim aux columns.
-		for _, gcol := range q.GroupBy {
-			found := false
-			for _, d := range q.Dims {
-				for _, aux := range d.Aux {
-					if aux == gcol {
-						found = true
-					}
-				}
-			}
-			if !found {
-				t.Errorf("%s: group column %s not provided by any dim aux", q.Name, gcol)
-			}
-		}
-		if q.String() == "" || q.ResultSchema().Len() != len(q.GroupBy)+1 {
+		if sh.ResultSchema().Len() != len(sh.GroupBy)+1 {
 			t.Errorf("%s: bad result schema", q.Name)
 		}
 	}
@@ -207,21 +200,24 @@ func TestFactColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := q.FactColumns()
-	want := []string{"lo_custkey", "lo_orderdate", "lo_revenue", "lo_suppkey"}
-	if len(cols) != len(want) {
-		t.Fatalf("FactColumns = %v", cols)
+	sh, err := plan.Decompose(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if cols[i] != want[i] {
-			t.Errorf("FactColumns = %v, want %v", cols, want)
-		}
+	cols := sh.FactColumns()
+	want := []string{"lo_custkey", "lo_suppkey", "lo_orderdate", "lo_revenue"}
+	if strings.Join(cols, ",") != strings.Join(want, ",") {
+		t.Errorf("FactColumns = %v, want %v", cols, want)
 	}
 	if _, err := QueryByName("q9.9"); err == nil {
 		t.Error("expected unknown query error")
 	}
-	if q.Dim(TableCustomer) == nil || q.Dim(TablePart) != nil {
-		t.Error("Dim lookup failed")
+	tables := map[string]bool{}
+	for _, d := range sh.Joins {
+		tables[d.Table] = true
+	}
+	if !tables[TableCustomer] || tables[TablePart] {
+		t.Errorf("Q3.1 joins %v", tables)
 	}
 }
 
@@ -267,9 +263,17 @@ func TestLoad(t *testing.T) {
 	}
 }
 
+// TestQueriesValidate binds every query text against the schema catalog
+// (Queries panics on a text that does not bind).
 func TestQueriesValidate(t *testing.T) {
-	for _, q := range Queries() {
-		if err := q.Validate(); err != nil {
+	cat := SchemaCatalog()
+	for _, q := range QuerySQL {
+		l, err := sql.Parse(q.Text, cat)
+		if err != nil {
+			t.Errorf("%s: %v", q.Name, err)
+			continue
+		}
+		if _, err := plan.Decompose(l); err != nil {
 			t.Errorf("%s: %v", q.Name, err)
 		}
 	}

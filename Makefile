@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build perfbench-build test race race-concurrency chaos plan-golden bench bench-smoke profile-smoke serve-bench serve-smoke ingest-smoke clean
+.PHONY: check fmt vet build perfbench-build test race race-concurrency chaos plan-golden bench bench-smoke fuzz-smoke profile-smoke serve-bench serve-smoke ingest-smoke clean
 
 check: fmt vet build perfbench-build race-concurrency chaos plan-golden ingest-smoke
 
@@ -70,6 +70,16 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run 'TestAllQueriesMatchReference' -count=1 ./internal/core/
+
+# Fuzz smoke: a short native-fuzzing run of the column-major dimension
+# copy decoder (colstore.FuzzDimCopy). Arbitrary bytes, with the checksums
+# optionally repaired so the structural checks behind them are reached,
+# must decode or return an error — never panic. A failing input lands in
+# internal/colstore/testdata/fuzz/ and replays under plain `go test`. New
+# coverage-widening inputs are minimized for at most a second each, so the
+# ten seconds go to fuzzing rather than to shrinking a few inputs.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDimCopy$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/colstore/
 
 # EXPLAIN ANALYZE invariant gate (see DESIGN.md "Observability"): run Q1.1
 # with profiling on and fail unless the per-phase exclusive walls sum to the

@@ -23,10 +23,12 @@ type ProbeBenchConfig struct {
 }
 
 // ProbeQueryStats is one query's probe-path measurements. ProbeNs and
-// HashBuildNs are summed across all tasks and threads, so they are CPU
-// nanoseconds, not wall time; NsPerRow (ProbeNs / ProbeRows) is the
-// per-fact-row cost of the §4.2 hash-join inner loop and the number to watch
-// for regressions.
+// HashBuildNs are per-task wall times summed over tasks, not CPU time:
+// ProbeNs is each map task's wall time in its probe thread pool (the
+// threads' read, decode, filter, probe and combine loops, running in
+// parallel), HashBuildNs each task's serial hash-table build. NsPerRow
+// (ProbeNs / ProbeRows) is the per-fact-row cost of the §4.2 hash-join
+// inner loop and the number to watch for regressions.
 type ProbeQueryStats struct {
 	Query       string `json:"query"`
 	TotalNs     int64  `json:"total_ns"`

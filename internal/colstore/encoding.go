@@ -216,7 +216,7 @@ func newColDecoder(kind records.Kind, enc Encoding, payload []byte) (*colDecoder
 			return nil, fmt.Errorf("colstore: dict encoding on %s column", kind)
 		}
 		n, used := binary.Uvarint(d.buf)
-		if used <= 0 {
+		if used <= 0 || n > maxDictEntries {
 			return nil, fmt.Errorf("colstore: bad dictionary size")
 		}
 		d.buf = d.buf[used:]

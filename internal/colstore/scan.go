@@ -15,7 +15,12 @@ func ScanRowTable(fs *hdfs.FileSystem, dir, clientNode string, fn func(records.R
 	if err != nil {
 		return err
 	}
-	for _, path := range listDataFiles(fs, dir) {
+	return scanRowFiles(fs, listDataFiles(fs, dir), schema, clientNode, fn)
+}
+
+// scanRowFiles reads every row of the given row files in order.
+func scanRowFiles(fs *hdfs.FileSystem, files []string, schema *records.Schema, clientNode string, fn func(records.Record) error) error {
+	for _, path := range files {
 		r, err := fs.Open(path, clientNode)
 		if err != nil {
 			return err

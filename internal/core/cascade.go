@@ -53,12 +53,17 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 
 	// The depth-1 head edges drive the star machinery: dimension cache
 	// dissemination, FK prune hints, and the star pass's hash tables.
-	headEdges := make([]plan.JoinEdge, head)
-	for i := range headEdges {
-		headEdges[i] = p.Steps[i].JoinEdge
+	edges := make([]plan.JoinEdge, len(p.Steps))
+	for i := range edges {
+		edges[i] = p.Steps[i].JoinEdge
+	}
+	headEdges := edges[:head]
+	dims, err := e.dimView(edges)
+	if err != nil {
+		return nil, nil, err
 	}
 	cacheDone := e.phaseSpan(ctx, obs.PhaseDimCache)
-	if _, err := EnsureCatalogCachedFor(e.mr.FS(), e.cat, headEdges); err != nil {
+	if err := dims.cacheOnNodes(e.mr.FS(), headEdges); err != nil {
 		cacheDone()
 		return nil, nil, err
 	}
@@ -74,7 +79,7 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 	// bucketed on the first deep join key.
 	curDir := tmp + "/pass-1"
 	curSchema := p.Steps[head-1].Out
-	res, err := e.runCascadeStarPass(ctx, p, headEdges, curDir, curSchema, buckets)
+	res, err := e.runCascadeStarPass(ctx, p, dims, headEdges, curDir, curSchema, buckets)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s cascade star pass: %w", sh.Name, err)
 	}
@@ -86,7 +91,7 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 	for i := head; i < len(p.Steps); i++ {
 		st := &p.Steps[i]
 		sideDir := fmt.Sprintf("%s/side-%s", tmp, st.Table)
-		sideSchema, err := e.writeCascadeSideTable(ctx, st, sideDir, buckets)
+		sideSchema, err := e.writeCascadeSideTable(ctx, dims[st.Table], st, sideDir, buckets)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: %s cascade side table %s: %w", sh.Name, st.Table, err)
 		}
@@ -127,7 +132,7 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 // runCascadeStarPass joins the fact scan with every depth-1 dimension in
 // one map-only job (per-node shared hash tables, early-out probes) and
 // writes the output bucketed on the first deep join key.
-func (e *Engine) runCascadeStarPass(ctx context.Context, p *plan.Physical, headEdges []plan.JoinEdge, outDir string, outSchema *records.Schema, buckets int) (*mr.JobResult, error) {
+func (e *Engine) runCascadeStarPass(ctx context.Context, p *plan.Physical, dims dimView, headEdges []plan.JoinEdge, outDir string, outSchema *records.Schema, buckets int) (*mr.JobResult, error) {
 	sh := p.Shape
 	inSchema := p.Steps[0].In
 	readCols := inSchema.Names()
@@ -141,7 +146,7 @@ func (e *Engine) runCascadeStarPass(ctx context.Context, p *plan.Physical, headE
 	}
 	var hints []expr.Pred
 	if !e.opts.NoScanPruning {
-		hints = e.fkPruneHints(headEdges)
+		hints = dims.fkPruneHints(headEdges)
 	}
 	// The cascade reads the fact table in its star pass only; deeper passes
 	// consume bucketed intermediates. Pin the partition list for this pass.
@@ -333,52 +338,33 @@ func (m *cascadeStarMapper) Map(_, v records.Record, out mr.Collector) error {
 // Cleanup implements mr.Mapper.
 func (m *cascadeStarMapper) Cleanup(mr.Collector) error { return nil }
 
-// writeCascadeSideTable scans a snowflake dimension on the driver,
-// filters it, and writes one blob per bucket (PK + aux columns, bucketed
-// by mr.BucketOf on the PK — the same function that bucketed the probe
-// stream). Returns the side blob's record schema.
-func (e *Engine) writeCascadeSideTable(ctx context.Context, st *plan.Step, sideDir string, buckets int) (*records.Schema, error) {
+// writeCascadeSideTable selects a snowflake dimension's qualifying rows
+// from the driver's memoized copy and writes one blob per bucket (PK + aux
+// columns, bucketed by mr.BucketOf on the PK — the same function that
+// bucketed the probe stream). Returns the side blob's record schema.
+func (e *Engine) writeCascadeSideTable(ctx context.Context, d *driverDim, st *plan.Step, sideDir string, buckets int) (*records.Schema, error) {
 	done := e.phaseSpan(ctx, obs.PhaseHashBuild)
 	defer done()
-	dimDir, err := e.cat.DimDir(st.Table)
+	c, err := d.open()
+	if err != nil {
+		return nil, err
+	}
+	rows, err := c.Select(st.PK, st.Pred, st.Aux)
 	if err != nil {
 		return nil, err
 	}
 	fields := []records.Field{st.Schema.Field(st.Schema.MustIndex(st.PK))}
 	fields = append(fields, st.AuxSchema().Fields()...)
 	sideSchema := records.NewSchema(fields...)
-	var pred expr.RowPred
-	if st.Pred != nil {
-		p, err := expr.CompilePred(st.Pred, st.Schema)
-		if err != nil {
-			return nil, err
-		}
-		pred = p
-	}
-	pkIdx := st.Schema.MustIndex(st.PK)
-	auxIdx := make([]int, len(st.Aux))
-	for i, a := range st.Aux {
-		auxIdx[i] = st.Schema.MustIndex(a)
-	}
 	blobs := make([][]byte, buckets)
-	fs := e.mr.FS()
-	err = colstore.ScanRowTable(fs, dimDir, "", func(r records.Record) error {
-		if pred != nil && !pred(r) {
-			return nil
-		}
-		pk := r.At(pkIdx)
-		vals := make([]records.Value, 0, 1+len(auxIdx))
-		vals = append(vals, pk)
-		for _, ix := range auxIdx {
-			vals = append(vals, r.At(ix))
-		}
-		b := mr.BucketOf(pk, buckets)
+	vals := make([]records.Value, 1+rows.Width)
+	for i, k := range rows.Keys {
+		vals[0] = records.Int(k)
+		copy(vals[1:], rows.AuxAt(i))
+		b := mr.BucketOf(vals[0], buckets)
 		blobs[b] = records.AppendRecord(blobs[b], records.Make(sideSchema, vals...))
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
+	fs := e.mr.FS()
 	for b, blob := range blobs {
 		if len(blob) == 0 {
 			continue

@@ -2,10 +2,13 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
+	"clydesdale/internal/colstore"
 	"clydesdale/internal/core"
+	"clydesdale/internal/records"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
 	"clydesdale/internal/ssb"
@@ -83,5 +86,88 @@ func TestConcurrentMixedEngines(t *testing.T) {
 	}
 	if ok, why := results.Equivalent(rs2, w2, 1e-9); !ok {
 		t.Errorf("Q3.3 staged: %s", why)
+	}
+}
+
+// TestDimMemoUnderConcurrentAppends plans and runs queries from several
+// goroutines while a writer appends suppliers without invalidating: the
+// driver's generation-keyed memo is shared by all of them. Each reader
+// must see supplier counts that only grow, in whole appends, and the
+// final plan must count every appended row.
+func TestDimMemoUnderConcurrentAppends(t *testing.T) {
+	e := newEnv(t, 2, 0.002)
+	eng := e.engine(core.Options{})
+	q, err := ssb.QueryByName("Q3.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := e.lay.Catalog().DimDir(ssb.TableSupplier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := e.gen.SupplierRows()
+	const appends, perAppend = 6, 3
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make([]error, 3)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			last := int64(0)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				st, err := eng.PlanStats(q)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				rows := st.Tables[ssb.TableSupplier].Rows
+				if rows < last || (rows-base)%perAppend != 0 || rows > base+appends*perAppend {
+					errs[i] = fmt.Errorf("supplier rows %d after %d", rows, last)
+					return
+				}
+				last = rows
+				if i == 0 {
+					if _, _, err := eng.Run(context.Background(), q); err != nil {
+						errs[i] = err
+						return
+					}
+				}
+			}
+		}(i)
+	}
+	next := base
+	for a := 0; a < appends; a++ {
+		if _, err := colstore.AppendRowTable(e.fs, dir, func(emit func(records.Record) error) error {
+			for j := 0; j < perAppend; j++ {
+				next++
+				if err := emit(e.gen.Supplier(next - 1)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("reader %d: %v", i, err)
+		}
+	}
+	st, err := eng.PlanStats(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st.Tables[ssb.TableSupplier].Rows, base+appends*perAppend; got != want {
+		t.Fatalf("supplier rows after appends = %d, want %d", got, want)
 	}
 }

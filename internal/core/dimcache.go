@@ -6,8 +6,6 @@ import (
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/hdfs"
-	"clydesdale/internal/plan"
-	"clydesdale/internal/records"
 )
 
 // The dimension cache (§4, Figure 2): a master copy of every dimension
@@ -20,32 +18,38 @@ import (
 func dimCacheKey(dir string) string { return "clydesdale/dimcache" + dir }
 
 // EnsureDimCached copies the dimension at dir to every live node that does
-// not already hold it, storing rows in wire encoding. It returns the number
-// of nodes that received a fresh copy.
+// not already hold its current generation, storing it column-major
+// (colstore.CopyRowTable). It returns the number of nodes that received a
+// fresh copy.
 func EnsureDimCached(fs *hdfs.FileSystem, dir string) (int, error) {
-	key := dimCacheKey(dir)
-	copied := 0
-	for _, n := range fs.Cluster().Alive() {
-		if n.HasLocal(key) {
-			continue
-		}
-		var buf []byte
-		err := colstore.ScanRowTable(fs, dir, n.ID(), func(r records.Record) error {
-			buf = records.AppendRecord(buf, r)
-			return nil
-		})
-		if err != nil {
-			return copied, fmt.Errorf("core: caching %s on %s: %w", dir, n.ID(), err)
-		}
-		if err := n.ChargeDiskWrite(int64(len(buf)), false); err != nil {
-			return copied, err
-		}
-		if err := n.PutLocal(key, buf); err != nil {
-			return copied, err
-		}
-		copied++
+	gen, err := colstore.RowTableGeneration(fs, dir)
+	if err != nil {
+		return 0, err
 	}
-	return copied, nil
+	return ensureDimGen(fs, dir, gen)
+}
+
+// ensureDimGen copies the dimension at dir to every live node whose copy
+// is missing or not of generation gen.
+func ensureDimGen(fs *hdfs.FileSystem, dir string, gen uint64) (int, error) {
+	var stale []*cluster.Node
+	for _, n := range fs.Cluster().Alive() {
+		// A copy left behind by an append that skipped DropDimCached
+		// carries an older generation and is replaced.
+		if data, ok := n.GetLocal(dimCacheKey(dir)); ok {
+			if c, err := colstore.OpenDimCopy(data); err == nil && c.Generation() == gen {
+				continue
+			}
+		}
+		stale = append(stale, n)
+	}
+	if len(stale) == 0 {
+		return 0, nil
+	}
+	if err := ensureDimCachedOn(fs, dir, stale...); err != nil {
+		return 0, err
+	}
+	return len(stale), nil
 }
 
 // DropDimCached removes every node's local copy of the dimension at dir —
@@ -79,66 +83,43 @@ func EnsureCatalogCached(fs *hdfs.FileSystem, cat *Catalog) (int, error) {
 	return total, nil
 }
 
-// EnsureCatalogCachedFor caches only the tables the join edges build from
-// on every live node (normally a no-op after cluster setup).
-func EnsureCatalogCachedFor(fs *hdfs.FileSystem, cat *Catalog, edges []plan.JoinEdge) (int, error) {
-	total := 0
-	for i := range edges {
-		dir, err := cat.DimDir(edges[i].Table)
-		if err != nil {
-			return total, err
-		}
-		n, err := EnsureDimCached(fs, dir)
-		if err != nil {
-			return total, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
 // localDimBytes fetches the node-local copy of a dimension, re-copying from
 // HDFS if the node lost it (§4: "nodes that have lost their local copy ...
-// may copy the dimension data from HDFS"). The read is charged as a local
-// raw-disk read.
+// may copy the dimension data from HDFS"). The caller charges the read: only
+// the column chunks it decodes come off the disk.
 func localDimBytes(fs *hdfs.FileSystem, node *cluster.Node, dir string) ([]byte, error) {
-	key := dimCacheKey(dir)
-	data, ok := node.GetLocal(key)
-	if !ok {
-		if _, err := ensureDimCachedOn(fs, node, dir); err != nil {
-			return nil, err
-		}
-		data, ok = node.GetLocal(key)
-		if !ok {
-			return nil, fmt.Errorf("core: dimension %s not cachable on %s", dir, node.ID())
-		}
+	if data, ok := node.GetLocal(dimCacheKey(dir)); ok {
+		return data, nil
 	}
-	// The local dimension copy reads at nominal device speed: at the
-	// paper's scale it is page-cache-resident between tasks.
-	if err := node.ChargeDiskReadNominal(int64(len(data))); err != nil {
+	if err := ensureDimCachedOn(fs, dir, node); err != nil {
 		return nil, err
+	}
+	data, ok := node.GetLocal(dimCacheKey(dir))
+	if !ok {
+		return nil, fmt.Errorf("core: dimension %s not cachable on %s", dir, node.ID())
 	}
 	return data, nil
 }
 
-func ensureDimCachedOn(fs *hdfs.FileSystem, node *cluster.Node, dir string) (bool, error) {
-	key := dimCacheKey(dir)
-	if node.HasLocal(key) {
-		return false, nil
+// ensureDimCachedOn copies the dimension's current master to the nodes'
+// local disks: each node is charged its own HDFS read and local write,
+// while the rows are encoded once for all of them.
+func ensureDimCachedOn(fs *hdfs.FileSystem, dir string, nodes ...*cluster.Node) error {
+	ids := make([]string, len(nodes))
+	for i, n := range nodes {
+		ids[i] = n.ID()
 	}
-	var buf []byte
-	err := colstore.ScanRowTable(fs, dir, node.ID(), func(r records.Record) error {
-		buf = records.AppendRecord(buf, r)
-		return nil
-	})
+	buf, err := colstore.CopyRowTable(fs, dir, ids...)
 	if err != nil {
-		return false, err
+		return fmt.Errorf("core: caching %s: %w", dir, err)
 	}
-	if err := node.ChargeDiskWrite(int64(len(buf)), false); err != nil {
-		return false, err
+	for _, n := range nodes {
+		if err := n.ChargeDiskWrite(int64(len(buf)), false); err != nil {
+			return err
+		}
+		if err := n.PutLocal(dimCacheKey(dir), buf); err != nil {
+			return err
+		}
 	}
-	if err := node.PutLocal(key, buf); err != nil {
-		return false, err
-	}
-	return true, nil
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -120,13 +119,11 @@ type Engine struct {
 	opts  Options
 	snaps *colstore.Snapshots
 
-	// hintMu guards hintCache, the per-(dimension, predicate) memo of
-	// derived scan pushdowns (FK-range prune hint + semi-join bloom):
-	// dimension contents only change on roll-in, which must evict the memo
-	// through InvalidateTable — a stale bloom silently kills fact rows that
-	// should match.
-	hintMu    sync.Mutex
-	hintCache map[string]*dimScan
+	// dimMu guards dims, the driver's per-dimension memo entries (encoded
+	// master copy, statistics, prune hints, blooms), each for one table
+	// generation — see driverdim.go.
+	dimMu sync.Mutex
+	dims  map[string]*driverDim
 }
 
 // New creates an engine over a MapReduce engine and a catalog.
@@ -156,25 +153,6 @@ func (e *Engine) Catalog() *Catalog { return e.cat }
 // ingestion paths (roll-in, compaction, retention) must publish and retire
 // through the same registry to stay atomic with respect to queries.
 func (e *Engine) Snapshots() *colstore.Snapshots { return e.snaps }
-
-// InvalidateTable drops the derived scan state memoized for a table — the
-// FK-range prune hints and semi-join blooms keyed by its dimension
-// predicates. Call it after rolling new rows into the table, before the
-// next query plans; serve.Session.RollIn wires this into its invalidation
-// fan-out. Returns the entries dropped.
-func (e *Engine) InvalidateTable(table string) int {
-	prefix := table + "|"
-	e.hintMu.Lock()
-	defer e.hintMu.Unlock()
-	n := 0
-	for k := range e.hintCache {
-		if strings.HasPrefix(k, prefix) {
-			delete(e.hintCache, k)
-			n++
-		}
-	}
-	return n
-}
 
 // Report describes one executed query.
 type Report struct {
@@ -271,8 +249,12 @@ func (e *Engine) runStar(ctx context.Context, sh *plan.Shape) (*results.ResultSe
 	if err := requireStar(sh); err != nil {
 		return nil, nil, err
 	}
+	dims, err := e.dimView(sh.Joins)
+	if err != nil {
+		return nil, nil, err
+	}
 	cacheDone := e.phaseSpan(ctx, obs.PhaseDimCache)
-	if _, err := EnsureCatalogCachedFor(e.mr.FS(), e.cat, sh.Joins); err != nil {
+	if err := dims.cacheOnNodes(e.mr.FS(), sh.Joins); err != nil {
 		cacheDone()
 		return nil, nil, err
 	}
@@ -315,11 +297,11 @@ func (e *Engine) runStar(ctx context.Context, sh *plan.Shape) (*results.ResultSe
 	}
 	var hints []expr.Pred
 	if !e.opts.NoScanPruning {
-		hints = e.fkPruneHints(sh.Joins)
+		hints = dims.fkPruneHints(sh.Joins)
 	}
 	var filters []colstore.KeyFilter
 	if !e.opts.NoBloomPushdown {
-		filters = e.semiJoinFilters(sh.Joins)
+		filters = dims.semiJoinFilters(sh.Joins)
 	}
 	// Pin the fact partition list once, here at plan time: a roll-in,
 	// compaction, or retention landing while the job runs changes what

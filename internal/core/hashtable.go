@@ -5,7 +5,7 @@ import (
 	"sync"
 
 	"clydesdale/internal/cluster"
-	"clydesdale/internal/expr"
+	"clydesdale/internal/colstore"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
@@ -77,14 +77,11 @@ const (
 	tagOccupied = uint8(0x80)
 )
 
-// newDimHashTable returns an empty table sized for about sizeHint entries.
+// newDimHashTable returns an empty table sized to hold sizeHint entries
+// without growing.
 func newDimHashTable(table string, auxWidth, sizeHint int) *DimHashTable {
 	h := &DimHashTable{Table: table, auxWidth: auxWidth}
-	capacity := 16
-	for capacity*7/10 < sizeHint {
-		capacity *= 2
-	}
-	h.alloc(capacity)
+	h.alloc(int(dimTableCapacity(int64(sizeHint))))
 	if auxWidth > 0 {
 		h.arena = make([]records.Value, 0, sizeHint*auxWidth)
 	}
@@ -276,51 +273,32 @@ func (h *DimHashTable) finalize() {
 }
 
 // BuildDimHashTable builds the hash table for one join edge from the
-// node-local copy of its table (charging the local read and the
-// deserialization work — this is the §6.3 "build" phase that runs once per
-// node). The build is single-threaded, as in the paper.
+// node-local copy of its table — the §6.3 "build" phase that runs once per
+// node, single-threaded as in the paper. It decodes only the edge's
+// columns of the column-major copy and charges the local read as those
+// column chunks' bytes. The table is sized up front for the selected rows,
+// at the capacity growth would have reached.
 func BuildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, edge *plan.JoinEdge) (*DimHashTable, error) {
 	data, err := localDimBytes(fs, node, dimDir)
 	if err != nil {
 		return nil, err
 	}
-	schema := edge.Schema
-	var pred expr.RowPred
-	if edge.Pred != nil {
-		p, err := expr.CompilePred(edge.Pred, schema)
-		if err != nil {
-			return nil, fmt.Errorf("core: dim %s predicate: %w", edge.Table, err)
-		}
-		pred = p
+	c, err := colstore.OpenDimCopy(data)
+	if err != nil {
+		return nil, fmt.Errorf("core: cached dim %s: %w", edge.Table, err)
 	}
-	pkIx := schema.Index(edge.PK)
-	if pkIx < 0 {
-		return nil, fmt.Errorf("core: dim %s has no column %s", edge.Table, edge.PK)
+	rows, err := c.Select(edge.PK, edge.Pred, edge.Aux)
+	if err != nil {
+		return nil, fmt.Errorf("core: cached dim %s: %w", edge.Table, err)
 	}
-	if schema.Field(pkIx).Kind != records.KindInt64 {
-		return nil, fmt.Errorf("core: dim %s key %s is %s, want int64", edge.Table, edge.PK, schema.Field(pkIx).Kind)
+	// The local dimension copy reads at nominal device speed: at the
+	// paper's scale it is page-cache-resident between tasks.
+	if err := node.ChargeDiskReadNominal(rows.BytesRead); err != nil {
+		return nil, err
 	}
-	auxIx := make([]int, len(edge.Aux))
-	for i, a := range edge.Aux {
-		auxIx[i] = schema.MustIndex(a)
-	}
-
-	h := newDimHashTable(edge.Table, len(auxIx), 64)
-	aux := make([]records.Value, len(auxIx))
-	pos := 0
-	for pos < len(data) {
-		rec, n, err := records.DecodeRecord(data[pos:], schema)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding cached dim %s: %w", edge.Table, err)
-		}
-		pos += n
-		if pred != nil && !pred(rec) {
-			continue
-		}
-		for i, ix := range auxIx {
-			aux[i] = rec.At(ix)
-		}
-		h.insert(rec.At(pkIx).Int64(), aux)
+	h := newDimHashTable(edge.Table, rows.Width, len(rows.Keys))
+	for i, k := range rows.Keys {
+		h.insert(k, rows.AuxAt(i))
 	}
 	h.finalize()
 	return h, nil
@@ -328,8 +306,8 @@ func BuildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, e
 
 // dimTableCapacity returns the slot-array capacity the open-addressing
 // table ends up with after inserting n entries: the smallest power of two
-// (at least 16) whose 0.7 load threshold admits n. It must mirror
-// newDimHashTable/grow exactly, so size estimates match what builds
+// (at least 16) whose 0.7 load threshold admits n. newDimHashTable sizes
+// from it and grow doubles from there, so size estimates match what builds
 // actually reserve.
 func dimTableCapacity(n int64) int64 {
 	c := int64(16)
@@ -339,54 +317,58 @@ func dimTableCapacity(n int64) int64 {
 	return c
 }
 
-// EstimateDimStats is the one dimension-statistics estimator: for each
-// join edge (in order) it evaluates the edge's predicate over rows supplied
-// by each(table) and returns the row count, the filtered row count, and the
-// two hash-table footprints the planners and budgets use. HashBytes mirrors
-// the open-addressing layout exactly — slot and tag arrays at the capacity
-// the build ends with, plus the aux-value arena — so it equals the MemBytes
-// a real build reserves; a Clydesdale node holds the *sum* over the query's
+// dimStatsOf is the one dimension-statistics estimator: the row count,
+// the filtered row count, and the two hash-table footprints the planners
+// and budgets use, from an edge's selection. HashBytes mirrors the
+// open-addressing layout exactly — slot and tag arrays at the capacity the
+// build ends with, plus the aux-value arena — so it equals the MemBytes a
+// real build reserves; a Clydesdale node holds the *sum* over the query's
 // edges (§6.4). MapJoinBytes charges plan.MapJoinEntryBytes per entry, the
 // boxed map a Hive mapjoin task or a cascade side table loads; a mapjoin
-// task holds one edge at a time, so its constraint is the maximum. With the
-// SSB generator as the row source no I/O is charged.
+// task holds one edge at a time, so its constraint is the maximum.
+func dimStatsOf(rows *colstore.DimRows) plan.TableStats {
+	ts := plan.TableStats{Rows: rows.Total, FilteredRows: int64(len(rows.Keys))}
+	var arenaBytes int64
+	for i := range rows.Keys {
+		aux := rows.AuxAt(i)
+		for _, v := range aux {
+			arenaBytes += v.MemSize()
+		}
+		ts.MapJoinBytes += plan.MapJoinEntryBytes(aux)
+	}
+	// 16 bytes per slot + 1 tag byte, plus the arena.
+	ts.HashBytes = dimTableCapacity(ts.FilteredRows)*17 + arenaBytes
+	return ts
+}
+
+// EstimateDimStats returns dimStatsOf for each join edge (in order) over
+// rows supplied by each(table) — the generator, in the planner's golden
+// tests and the bench harness's budget calibration. The rows go through
+// the same column-major copy and selection a build reads, so the estimate
+// is exact; no I/O is charged. Engine.DimStats is the form over a
+// cluster's stored tables.
 func EstimateDimStats(edges []plan.JoinEdge, each func(table string, fn func(records.Record) error) error) ([]plan.TableStats, error) {
+	copies := make(map[string]*colstore.DimCopy)
 	out := make([]plan.TableStats, len(edges))
 	for i := range edges {
 		edge := &edges[i]
-		var pred expr.RowPred
-		if edge.Pred != nil {
-			p, err := expr.CompilePred(edge.Pred, edge.Schema)
-			if err != nil {
+		c, ok := copies[edge.Table]
+		if !ok {
+			w := colstore.NewDimCopyWriter(edge.Schema, 0)
+			if err := each(edge.Table, w.Append); err != nil {
 				return nil, err
 			}
-			pred = p
-		}
-		auxIx := make([]int, len(edge.Aux))
-		for j, a := range edge.Aux {
-			auxIx[j] = edge.Schema.MustIndex(a)
-		}
-		ts := &out[i]
-		var arenaBytes int64
-		aux := make([]records.Value, len(auxIx))
-		err := each(edge.Table, func(rec records.Record) error {
-			ts.Rows++
-			if pred != nil && !pred(rec) {
-				return nil
+			var err error
+			if c, err = colstore.OpenDimCopy(w.Bytes()); err != nil {
+				return nil, err
 			}
-			ts.FilteredRows++
-			for j, ix := range auxIx {
-				aux[j] = rec.At(ix)
-				arenaBytes += aux[j].MemSize()
-			}
-			ts.MapJoinBytes += plan.MapJoinEntryBytes(aux)
-			return nil
-		})
+			copies[edge.Table] = c
+		}
+		rows, err := c.Select(edge.PK, edge.Pred, edge.Aux)
 		if err != nil {
 			return nil, err
 		}
-		// 16 bytes per slot + 1 tag byte, plus the arena.
-		ts.HashBytes = dimTableCapacity(ts.FilteredRows)*17 + arenaBytes
+		out[i] = dimStatsOf(rows)
 	}
 	return out, nil
 }

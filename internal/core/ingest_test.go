@@ -15,7 +15,7 @@ import (
 )
 
 // TestRollInInvalidatesDerivedScanState is the regression test for the
-// stale-pushdown bug: Engine.hintCache memoizes the FK-range prune hint and
+// stale-pushdown bug: the engine memoizes the FK-range prune hint and
 // semi-join bloom derived from a filtered dimension scan, and the node-local
 // dimension copies feed every hash-table build. Before the fix, rolling new
 // rows into a dimension left both caches holding pre-roll-in state — the
@@ -214,5 +214,117 @@ func TestFactRollInMatchesReference(t *testing.T) {
 		if q == q1998 && before.Rows[0].At(0).Float64() >= after.Rows[0].At(0).Float64() {
 			t.Fatalf("roll-in did not grow the 1998 aggregate: %s then %s", before, after)
 		}
+	}
+}
+
+// TestDimAppendSeenWithoutInvalidation appends suppliers to the master
+// copy and rolls in fact rows that reference them, calling neither
+// DropDimCached nor InvalidateTable. Every driver and node read of a
+// dimension is keyed by its data-file generation, so the next plan must
+// count the new rows and the next answer must include the new fact rows:
+// a stale bloom or a stale node copy would silently drop them.
+func TestDimAppendSeenWithoutInvalidation(t *testing.T) {
+	e := newEnv(t, 3, 0.002)
+	eng := e.engine(core.Options{})
+	cat := e.lay.Catalog()
+	q, err := ssb.QueryByName("Q3.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := eng.PlanStats(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Populate every memo the append could leave stale: stats, the prune
+	// hint and bloom, and each node's local copy.
+	if _, _, err := eng.Run(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+
+	// New suppliers clone the first ASIA supplier under fresh keys.
+	var asia records.Record
+	for i := int64(0); i < e.gen.SupplierRows(); i++ {
+		if r := e.gen.Supplier(i); r.Get("s_region").Str() == "ASIA" {
+			asia = r
+			break
+		}
+	}
+	base := e.gen.SupplierRows()
+	var suppliers []records.Record
+	for k := base + 1; k <= base+4; k++ {
+		r := asia.Clone()
+		suppliers = append(suppliers, r.SetNamed("s_suppkey", records.Int(k)))
+	}
+	supDir, err := cat.DimDir(ssb.TableSupplier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := colstore.AppendRowTable(e.fs, supDir, func(emit func(records.Record) error) error {
+		for _, r := range suppliers {
+			if err := emit(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Fact rows: copies of existing lineorder rows pointed at the new keys.
+	var facts []records.Record
+	for i := int64(0); i < 400; i++ {
+		r := e.gen.Lineorder(i).Clone()
+		facts = append(facts, r.SetNamed("lo_suppkey", records.Int(base+1+i%4)))
+	}
+	if _, _, err := eng.Snapshots().RollIn(cat.FactDir, 1000, func(emit func(records.Record) error) error {
+		for _, r := range facts {
+			if err := emit(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	after, err := eng.PlanStats(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := after.Tables[ssb.TableSupplier].Rows, before.Tables[ssb.TableSupplier].Rows+4; got != want {
+		t.Fatalf("supplier rows after append = %d, want %d", got, want)
+	}
+	if got, want := after.Tables[ssb.TableSupplier].FilteredRows, before.Tables[ssb.TableSupplier].FilteredRows+4; got != want {
+		t.Fatalf("ASIA suppliers after append = %d, want %d", got, want)
+	}
+
+	each := func(table string, fn func(records.Record) error) error {
+		if err := e.gen.Each(table, fn); err != nil {
+			return err
+		}
+		extra := map[string][]records.Record{ssb.TableSupplier: suppliers, cat.FactName: facts}[table]
+		for _, r := range extra {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	want, err := refexec.RunLogical(q, each)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := refexec.RunLogical(q, e.gen.Each)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, _ := results.Equivalent(want, old, 1e-9); ok {
+		t.Fatal("the appended rows do not change Q3.1 — test exercises nothing")
+	}
+	got, _, err := eng.Run(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, why := results.Equivalent(got, want, 1e-9); !ok {
+		t.Fatalf("Q3.1 after an uninvalidated append: %s\ngot:\n%swant:\n%s", why, got, want)
 	}
 }

@@ -7,33 +7,25 @@ import (
 
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/plan"
-	"clydesdale/internal/records"
 	"clydesdale/internal/results"
 )
 
 // PlanStats gathers the cost model's inputs for a logical plan: fact
 // cardinality from the CIF zone maps, per-table row counts and hash-table
-// footprints from the unified estimators (the star model and the boxed
-// mapjoin model), and the cluster geometry. It scans each joined table
-// once on the driver, so call it at plan time, not per execution.
+// footprints from DimStats (the star model and the boxed mapjoin model),
+// and the cluster geometry. Dimension statistics come from the driver's
+// generation-keyed memo, so a repeated plan over unchanged tables decodes
+// nothing.
 func (e *Engine) PlanStats(l *plan.Logical) (*plan.Stats, error) {
 	sh, err := plan.Decompose(l)
 	if err != nil {
 		return nil, err
 	}
-	fs := e.mr.FS()
-	factRows, err := colstore.TableRowCount(fs, e.cat.FactDir)
+	factRows, err := colstore.TableRowCount(e.mr.FS(), e.cat.FactDir)
 	if err != nil {
 		return nil, err
 	}
-	each := func(table string, fn func(records.Record) error) error {
-		dir, err := e.cat.DimDir(table)
-		if err != nil {
-			return err
-		}
-		return colstore.ScanRowTable(fs, dir, "", fn)
-	}
-	per, err := EstimateDimStats(sh.Joins, each)
+	per, err := e.DimStats(sh.Joins)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"clydesdale/internal/cluster"
+	"clydesdale/internal/colstore"
+	"clydesdale/internal/expr"
+	"clydesdale/internal/hdfs"
 	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 )
@@ -90,9 +94,14 @@ func BenchmarkDimTableProbe(b *testing.B) {
 	}
 }
 
-// BenchmarkDimHashBuild measures table construction from pre-decoded rows
-// (the per-node §6.3 build phase, minus I/O and decode), against the same
-// pre-change Go-map layout.
+// BenchmarkDimHashBuild measures table construction. open and gomap time
+// only the inserts of pre-decoded rows, against the pre-change Go-map
+// layout. fromcopy times a whole per-node §6.3 build the way a task runs
+// it — BuildDimHashTable over the node's column-major copy: decode the
+// edge's columns, filter on dictionary codes, insert — for the customer
+// edges of Q3.1 and Q4.1; fromrows is the row-at-a-time build it replaced
+// (every row decoded whole from the wire-encoded copy, predicate on the
+// boxed record), for the ratio.
 func BenchmarkDimHashBuild(b *testing.B) {
 	const n = 1 << 14
 	keys, aux := benchDimEntries(n)
@@ -121,6 +130,81 @@ func BenchmarkDimHashBuild(b *testing.B) {
 			}
 		}
 	})
+
+	fs, node, dir, wire := benchCustomer(b)
+	for _, q := range []struct{ name, region string }{{"Q3.1", "ASIA"}, {"Q4.1", "AMERICA"}} {
+		edge := &plan.JoinEdge{Table: "customer", Schema: benchCustomerSchema, FK: "lo_custkey", PK: "c_custkey",
+			Pred: expr.Eq(expr.Col("c_region"), expr.ConstStr(q.region)), Depth: 1, Aux: []string{"c_nation"}}
+		b.Run("fromcopy/"+q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildDimHashTable(fs, node, dir, edge); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("fromrows/"+q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildDimHashTableFromRows(edge, wire); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+var benchCustomerSchema = records.NewSchema(
+	records.F("c_custkey", records.KindInt64),
+	records.F("c_name", records.KindString),
+	records.F("c_address", records.KindString),
+	records.F("c_city", records.KindString),
+	records.F("c_nation", records.KindString),
+	records.F("c_region", records.KindString),
+	records.F("c_phone", records.KindString),
+	records.F("c_mktsegment", records.KindString),
+)
+
+// benchCustomer stores an SSB-shaped customer table — 30 000 rows (its
+// cardinality at scale factor 1), 25 nations in 5 regions, 10 cities per
+// nation, distinct names, addresses and phones — in HDFS, caches it on a
+// node, and returns the node with the table's directory and its
+// wire-encoded rows (the pre-change node-local copy).
+func benchCustomer(b *testing.B) (*hdfs.FileSystem, *cluster.Node, string, []byte) {
+	b.Helper()
+	const rows = 30_000
+	regions := []string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
+	segments := []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"}
+	c := cluster.New(cluster.Testing(1))
+	fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 20, Replication: 1, Seed: 1})
+	const dir = "/bench/customer"
+	var wire []byte
+	if _, err := colstore.WriteRowTable(fs, dir, benchCustomerSchema, func(emit func(records.Record) error) error {
+		for i := int64(0); i < rows; i++ {
+			nation := (i * 7919) % 25
+			r := records.Make(benchCustomerSchema,
+				records.Int(i+1),
+				records.Str(fmt.Sprintf("Customer#%09d", i+1)),
+				records.Str(fmt.Sprintf("addr-%d", (i*104729)%1_000_000)),
+				records.Str(fmt.Sprintf("NATION%02d %d", nation, i%10)),
+				records.Str(fmt.Sprintf("NATION%02d", nation)),
+				records.Str(regions[nation%5]),
+				records.Str(fmt.Sprintf("%02d-%03d-%03d-%04d", 10+nation, i%1000, (i/1000)%1000, i%10000)),
+				records.Str(segments[i%5]),
+			)
+			wire = records.AppendRecord(wire, r)
+			if err := emit(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := EnsureDimCached(fs, dir); err != nil {
+		b.Fatal(err)
+	}
+	return fs, c.Nodes()[0], dir, wire
 }
 
 // encodeSink mimics the map collector's cost model: serialize both records

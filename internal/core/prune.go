@@ -3,7 +3,6 @@ package core
 import (
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/expr"
-	"clydesdale/internal/hdfs"
 	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 )
@@ -39,33 +38,36 @@ const bloomMaxSelectivity = 0.5
 
 // dimScan is what one driver-side scan of a filtered dimension yields:
 // the FK-range prune hint and the semi-join bloom filter (either may be nil
-// when underivable or not worth pushing). Memoized per (dimension, fact FK,
-// predicate) in Engine.hintCache.
+// when underivable or not worth pushing). Memoized per (fact FK,
+// predicate) in the dimension's generation-keyed driver memo.
 type dimScan struct {
 	hint  expr.Pred
 	bloom *colstore.KeyBloom
 }
 
-// dimScanFor returns the memoized scan products for one dimension, scanning
-// at most once per (dimension, predicate, fact FK): dimension contents are
-// immutable for an engine's lifetime. Returns nil for dimensions that can
-// yield nothing (no predicate, no schema).
-func (e *Engine) dimScanFor(d *plan.JoinEdge) *dimScan {
-	if d.Pred == nil || d.Schema == nil {
+// scan returns the memoized scan products for one dimension, deriving
+// them at most once per (table generation, fact FK, predicate): a stale
+// bloom would silently drop fact rows that match rows appended since.
+// Returns nil for dimensions that can yield nothing (no predicate, no
+// schema, unreadable table).
+func (v dimView) scan(edge *plan.JoinEdge) *dimScan {
+	if edge.Pred == nil || edge.Schema == nil {
 		return nil
 	}
-	key := d.Table + "|" + d.FK + "|" + d.Pred.String()
-	e.hintMu.Lock()
-	ds, cached := e.hintCache[key]
-	e.hintMu.Unlock()
+	d := v[edge.Table]
+	key := edge.FK + "|" + edge.Pred.String()
+	d.mu.Lock()
+	ds, cached := d.scans[key]
+	d.mu.Unlock()
 	if !cached {
-		ds = deriveDimScan(e.mr.FS(), e.cat, d)
-		e.hintMu.Lock()
-		if e.hintCache == nil {
-			e.hintCache = make(map[string]*dimScan)
+		c, err := d.open()
+		if err != nil {
+			return nil
 		}
-		e.hintCache[key] = ds
-		e.hintMu.Unlock()
+		ds = deriveDimScan(c, edge)
+		d.mu.Lock()
+		d.scans[key] = ds
+		d.mu.Unlock()
 	}
 	return ds
 }
@@ -75,13 +77,13 @@ func (e *Engine) dimScanFor(d *plan.JoinEdge) *dimScan {
 // predicate, non-integer key, scan error) are skipped — pruning just sees
 // fewer hints. Snowflake edges are skipped too: their FK is not a fact
 // column, so a hint on it could never refute a fact partition.
-func (e *Engine) fkPruneHints(edges []plan.JoinEdge) []expr.Pred {
+func (v dimView) fkPruneHints(edges []plan.JoinEdge) []expr.Pred {
 	var hints []expr.Pred
 	for i := range edges {
 		if edges[i].Depth != 1 {
 			continue
 		}
-		if ds := e.dimScanFor(&edges[i]); ds != nil && ds.hint != nil {
+		if ds := v.scan(&edges[i]); ds != nil && ds.hint != nil {
 			hints = append(hints, ds.hint)
 		}
 	}
@@ -93,66 +95,37 @@ func (e *Engine) fkPruneHints(edges []plan.JoinEdge) []expr.Pred {
 // The filters are derived on the driver before the job is submitted — they
 // are plain immutable state shipped with the input format, so retried,
 // speculative, and failed-over task attempts all see the same filters.
-func (e *Engine) semiJoinFilters(edges []plan.JoinEdge) []colstore.KeyFilter {
+func (v dimView) semiJoinFilters(edges []plan.JoinEdge) []colstore.KeyFilter {
 	var filters []colstore.KeyFilter
 	for i := range edges {
 		d := &edges[i]
 		if d.Depth != 1 {
 			continue
 		}
-		if ds := e.dimScanFor(d); ds != nil && ds.bloom != nil {
+		if ds := v.scan(d); ds != nil && ds.bloom != nil {
 			filters = append(filters, colstore.KeyFilter{Column: d.FK, Keys: ds.bloom})
 		}
 	}
 	return filters
 }
 
-// deriveDimScan scans one filtered dimension once, collecting the
-// qualifying-key range (→ prune hint) and the qualifying keys themselves
-// (→ bloom filter, when selective enough). Never returns nil; an empty
-// dimScan means nothing was derivable.
-func deriveDimScan(fs *hdfs.FileSystem, cat *Catalog, d *plan.JoinEdge) *dimScan {
+// deriveDimScan selects one filtered dimension's qualifying keys once,
+// collecting their range (→ prune hint) and the keys themselves (→ bloom
+// filter, when selective enough). Never returns nil; an empty dimScan means
+// nothing was derivable.
+func deriveDimScan(c *colstore.DimCopy, edge *plan.JoinEdge) *dimScan {
 	ds := &dimScan{}
-	pkIdx := d.Schema.Index(d.PK)
-	if pkIdx < 0 || d.Schema.Field(pkIdx).Kind != records.KindInt64 {
+	rows, err := c.Select(edge.PK, edge.Pred, nil)
+	if err != nil || len(rows.Keys) == 0 {
 		return ds
 	}
-	dir, err := cat.DimDir(d.Table)
-	if err != nil {
-		return ds
+	lo, hi := rows.Keys[0], rows.Keys[0]
+	for _, k := range rows.Keys {
+		lo, hi = min(lo, k), max(hi, k)
 	}
-	pred, err := expr.CompilePred(d.Pred, d.Schema)
-	if err != nil {
-		return ds
-	}
-	var keys []int64
-	var total int64
-	var lo, hi int64
-	err = colstore.ScanRowTable(fs, dir, "", func(r records.Record) error {
-		total++
-		if !pred(r) {
-			return nil
-		}
-		v := r.At(pkIdx).Int64()
-		if len(keys) == 0 {
-			lo, hi = v, v
-		} else {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		keys = append(keys, v)
-		return nil
-	})
-	if err != nil || len(keys) == 0 {
-		return ds
-	}
-	ds.hint = expr.Between(expr.Col(d.FK), records.Int(lo), records.Int(hi))
-	if float64(len(keys)) <= bloomMaxSelectivity*float64(total) {
-		ds.bloom = colstore.NewKeyBloom(keys, colstore.DefaultBloomBitsPerKey)
+	ds.hint = expr.Between(expr.Col(edge.FK), records.Int(lo), records.Int(hi))
+	if float64(len(rows.Keys)) <= bloomMaxSelectivity*float64(rows.Total) {
+		ds.bloom = colstore.NewKeyBloom(rows.Keys, colstore.DefaultBloomBitsPerKey)
 	}
 	return ds
 }

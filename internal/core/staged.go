@@ -53,8 +53,12 @@ func (e *Engine) runStagedShape(ctx context.Context, p *plan.Physical) (*results
 	for i := range steps {
 		edges[i] = steps[i].JoinEdge
 	}
+	dims, err := e.dimView(edges)
+	if err != nil {
+		return nil, nil, err
+	}
 	cacheDone := e.phaseSpan(ctx, obs.PhaseDimCache)
-	if _, err := EnsureCatalogCachedFor(e.mr.FS(), e.cat, edges); err != nil {
+	if err := dims.cacheOnNodes(e.mr.FS(), edges); err != nil {
 		cacheDone()
 		return nil, nil, err
 	}
@@ -82,7 +86,7 @@ func (e *Engine) runStagedShape(ctx context.Context, p *plan.Physical) (*results
 	for i := range steps {
 		st := &steps[i]
 		outDir := fmt.Sprintf("%s/pass-%d", tmp, i+1)
-		res, err := e.runStagedJoinPass(ctx, sh, edges, &edges[i], curDir, curSchema, outDir, st.Out, i == 0)
+		res, err := e.runStagedJoinPass(ctx, sh, dims, edges, &edges[i], curDir, curSchema, outDir, st.Out, i == 0)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: %s staged pass %d (%s): %w", sh.Name, i+1, st.Table, err)
 		}
@@ -110,7 +114,7 @@ func (e *Engine) runStagedShape(ctx context.Context, p *plan.Physical) (*results
 // runStagedJoinPass joins the current intermediate (or the fact table) with
 // one edge's table as a map-only job; edges are the plan's join edges,
 // whose fact-side FKs drive the fact pass's prune hints and eager reads.
-func (e *Engine) runStagedJoinPass(ctx context.Context, sh *plan.Shape, edges []plan.JoinEdge, edge *plan.JoinEdge, inDir string, inSchema *records.Schema, outDir string, outSchema *records.Schema, firstPass bool) (*mr.JobResult, error) {
+func (e *Engine) runStagedJoinPass(ctx context.Context, sh *plan.Shape, dims dimView, edges []plan.JoinEdge, edge *plan.JoinEdge, inDir string, inSchema *records.Schema, outDir string, outSchema *records.Schema, firstPass bool) (*mr.JobResult, error) {
 	var input mr.InputFormat
 	if inDir == "" {
 		cols := inSchema.Names()
@@ -118,7 +122,7 @@ func (e *Engine) runStagedJoinPass(ctx context.Context, sh *plan.Shape, edges []
 		// mappers read row-at-a-time, so late materialization never engages.
 		var hints []expr.Pred
 		if !e.opts.NoScanPruning {
-			hints = e.fkPruneHints(edges)
+			hints = dims.fkPruneHints(edges)
 		}
 		// Only the first pass scans the fact table; later passes read the
 		// previous pass's intermediate, which nothing rolls into. Pinning

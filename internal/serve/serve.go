@@ -126,9 +126,6 @@ type Session struct {
 	compactions, compactedRows          atomic.Int64
 	partsPublished, partsRetired        atomic.Int64
 	tableInvalidations                  atomic.Int64
-
-	estMu     sync.Mutex
-	estimates map[string]int64 // cache key → estimated build bytes
 }
 
 // New creates a serving session over a MapReduce engine and catalog.
@@ -178,8 +175,7 @@ func New(mrEngine *mr.Engine, cat *core.Catalog, opts Options) *Session {
 			weights:     opts.TenantWeights,
 			agingPasses: opts.AgingPasses,
 		}, reg),
-		opts:      opts,
-		estimates: make(map[string]int64),
+		opts: opts,
 	}
 	// A killed node takes its memory reservations with it; drop its cached
 	// tables immediately so warm probes of later queries don't touch tables
@@ -389,10 +385,10 @@ func (s *Session) InvalidateTable(table string) int {
 //	           time, so it computes entirely over the pre- or post-batch
 //	           table, never a mix), then cached results for the table drop;
 //	dimension: rows append to the master row table (atomic rename publish),
-//	           then node-local dimension copies drop, the engine's FK-range
-//	           hints and semi-join blooms for the table evict, the serve
-//	           table cache bumps the dimension's generation, admission
-//	           estimates reset, and cached results drop.
+//	           then node-local dimension copies drop, the engine's memo
+//	           for the table (encoded copy, statistics, FK-range hints,
+//	           semi-join blooms) evicts, the serve table cache bumps the
+//	           dimension's generation, and cached results drop.
 //
 // The result cache is invalidated after the data publishes: invalidating
 // first would let a query that computed pre-batch rows cache them as
@@ -443,14 +439,13 @@ func (s *Session) rollInDim(table string, rows func(emit func(records.Record) er
 	}
 	// Invalidation fan-out, innermost state first: node-local dimension
 	// copies (the hash-table build source), the engine's derived scan
-	// pushdowns, the cross-query table cache, the admission estimates. All
+	// pushdowns and statistics, the cross-query table cache. All
 	// of it is derived purely from the dimension's master copy, so any
 	// query interleaving here rebuilds consistently from either side of the
 	// append.
 	core.DropDimCached(s.mrEng.Cluster(), dir)
 	s.eng.InvalidateTable(table)
 	s.tableInvalidations.Add(int64(s.cache.invalidateDim(dir, s.mrEng.Cluster().Node)))
-	s.dropEstimates(dir)
 	s.finishRollIn(table, n)
 	return n, nil
 }
@@ -467,19 +462,6 @@ func (s *Session) finishRollIn(table string, n int64) {
 	if m := s.Metrics(); m != nil {
 		m.Counter("serve.ingest.rows").Add(n)
 	}
-}
-
-// dropEstimates forgets admission estimates derived from the dimension at
-// dir (any generation).
-func (s *Session) dropEstimates(dir string) {
-	prefix := dir + "\x00"
-	s.estMu.Lock()
-	for k := range s.estimates {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			delete(s.estimates, k)
-		}
-	}
-	s.estMu.Unlock()
 }
 
 func (s *Session) countIngest(name string) {
@@ -668,60 +650,24 @@ func (s *Session) observeQueueWait(sc obs.SpanContext, name string, start time.T
 // exact build size of each dimension table not already resident on every
 // live node (cached tables are free — that is the point of the cache),
 // plus the configured task working memory. Estimates come from
-// core.EstimateDimStats, whose HashBytes mirrors the build layout
-// byte-for-byte, over a driver-side scan of the dimension master copy;
-// each (dimDir, fingerprint) is estimated once per session.
+// Engine.DimStats, whose HashBytes mirrors the build layout byte-for-byte
+// and which the engine memoizes per dimension generation.
 func (s *Session) admissionCost(sh *plan.Shape) (int64, error) {
+	per, err := s.eng.DimStats(sh.Joins)
+	if err != nil {
+		return 0, fmt.Errorf("serve: estimating %s tables: %w", sh.Name, err)
+	}
 	nodeIDs := s.aliveIDs()
-	keys := make([]string, len(sh.Joins))
+	var cost int64
 	for i := range sh.Joins {
 		dir, err := s.cat.DimDir(sh.Joins[i].Table)
 		if err != nil {
 			return 0, err
 		}
-		keys[i] = s.cache.keyFor(dir, &sh.Joins[i])
-	}
-
-	var missing []int // edge indices needing a fresh estimate
-	s.estMu.Lock()
-	for i, k := range keys {
-		if _, ok := s.estimates[k]; !ok {
-			missing = append(missing, i)
+		if !s.cache.residentEverywhere(s.cache.keyFor(dir, &sh.Joins[i]), nodeIDs) {
+			cost += per[i].HashBytes
 		}
 	}
-	s.estMu.Unlock()
-
-	if len(missing) > 0 {
-		edges := make([]plan.JoinEdge, len(missing))
-		for j, i := range missing {
-			edges[j] = sh.Joins[i]
-		}
-		per, err := core.EstimateDimStats(edges, func(table string, fn func(records.Record) error) error {
-			dir, err := s.cat.DimDir(table)
-			if err != nil {
-				return err
-			}
-			return colstore.ScanRowTable(s.mrEng.FS(), dir, "", fn)
-		})
-		if err != nil {
-			return 0, fmt.Errorf("serve: estimating %s tables: %w", sh.Name, err)
-		}
-		s.estMu.Lock()
-		for j, i := range missing {
-			s.estimates[keys[i]] = per[j].HashBytes
-		}
-		s.estMu.Unlock()
-	}
-
-	var cost int64
-	s.estMu.Lock()
-	for _, k := range keys {
-		if s.cache.residentEverywhere(k, nodeIDs) {
-			continue
-		}
-		cost += s.estimates[k]
-	}
-	s.estMu.Unlock()
 	return cost + s.opts.TaskMemory, nil
 }
 

@@ -3,6 +3,7 @@ package chaos_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
@@ -206,6 +208,96 @@ func TestChaosOracleAllQueries(t *testing.T) {
 
 // TestChaosAllReplicasCorrupted: when every replica of a block is corrupt,
 // the data is genuinely lost — the read must fail cleanly (CRC failures on
+// TestSlowDiskSpeculativeCascade runs the generated snowflake's cascade
+// plans under the slow-disk straggler with speculation on. The cascade's
+// join passes are map-only jobs that write row-file intermediates, so
+// their backup attempts stage their output and only the first attempt to
+// finish publishes it: the answers must stay exact, the join passes must
+// actually launch backups, and no staged or intermediate file may outlive
+// the query.
+func TestSlowDiskSpeculativeCascade(t *testing.T) {
+	c := cluster.New(cluster.Testing(4))
+	fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 16, Seed: 42})
+	snow := ssb.GenSnowflake(42, 3000)
+	lay, err := ssb.LoadSnowflake(fs, snow, "/snow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := obs.NewMemorySink()
+	engine := mr.NewEngine(c, fs, mr.Options{Tracer: obs.NewTracer(sink)})
+	ctl := chaos.New(c, fs, chaos.Plan{
+		Name:       "slow-disk-straggler",
+		Seed:       2,
+		Stragglers: []chaos.SlowDisk{{Node: "node-2", Factor: 8}},
+	}, nil)
+	if err := ctl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Stop()
+
+	eng := core.New(engine, lay.Catalog(snow), core.Options{Speculative: true})
+	ran := 0
+	for qi := int64(0); qi < 3; qi++ {
+		l := snow.RandomSnowQuery(qi)
+		st, err := eng.PlanStats(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands, err := plan.Candidates(l, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refexec.RunLogical(l, snow.Each)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range cands {
+			if p.Kind != plan.KindCascade || !p.Feasible {
+				continue
+			}
+			ran++
+			rs, _, err := eng.RunPlan(context.Background(), p)
+			if err != nil {
+				t.Fatalf("q%d cascade: %v", qi, err)
+			}
+			if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
+				t.Fatalf("q%d cascade silently wrong under speculation: %s", qi, why)
+			}
+		}
+	}
+	if ran == 0 {
+		t.Fatal("no feasible cascade candidate")
+	}
+
+	// Join passes are the jobs without reduce tasks; a task span whose
+	// attempt is not the first is a backup (or a retry, of which a healthy
+	// straggler run has none).
+	spans := sink.Spans()
+	reduces := map[string]bool{}
+	for _, s := range spans {
+		if s.Name == obs.PhaseTask && strings.HasPrefix(s.TaskID, "r-") {
+			reduces[s.Job] = true
+		}
+	}
+	backups := 0
+	for _, s := range spans {
+		if s.Name == obs.PhaseTask && !reduces[s.Job] && s.Attrs["attempt"] != "1" {
+			backups++
+		}
+	}
+	if backups == 0 {
+		t.Error("no cascade join pass launched a backup attempt")
+	}
+	if left := fs.List("/tmp/clydesdale/"); len(left) != 0 {
+		t.Errorf("files left behind: %v", left)
+	}
+	for _, n := range c.Nodes() {
+		if used := n.MemoryUsed(); used != 0 {
+			t.Errorf("%s leaked %d bytes", n.ID(), used)
+		}
+	}
+}
+
 // all copies, then a lost-block error), never return corrupt bytes.
 func TestChaosAllReplicasCorrupted(t *testing.T) {
 	e := newEnv(t, 3, 0.002)

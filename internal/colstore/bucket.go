@@ -38,6 +38,19 @@ type BucketRowOutput struct {
 
 // OpenWriter implements mr.OutputFormat.
 func (o *BucketRowOutput) OpenWriter(ctx *mr.TaskContext, taskIndex int) (mr.RecordWriter, error) {
+	return o.open(ctx, o.Dir, taskIndex)
+}
+
+// OpenStaged implements mr.StagedOutput.
+func (o *BucketRowOutput) OpenStaged(ctx *mr.TaskContext, taskIndex int) (mr.RecordWriter, func() error, func(), error) {
+	stage, commit, abort := stageAttempt(ctx, o.Dir, taskIndex)
+	w, err := o.open(ctx, stage, taskIndex)
+	return w, commit, abort, err
+}
+
+// open starts task taskIndex's writer, whose bucket files go under dir:
+// the table's own directory, or an attempt's staging directory inside it.
+func (o *BucketRowOutput) open(ctx *mr.TaskContext, dir string, taskIndex int) (mr.RecordWriter, error) {
 	o.once.Do(func() {
 		if o.Schema == nil {
 			o.err = fmt.Errorf("colstore: BucketRowOutput for %s has no schema", o.Dir)
@@ -61,7 +74,7 @@ func (o *BucketRowOutput) OpenWriter(ctx *mr.TaskContext, taskIndex int) (mr.Rec
 	return &bucketRowWriter{
 		fs:        ctx.FS,
 		node:      ctx.Node().ID(),
-		dir:       o.Dir,
+		dir:       dir,
 		schema:    o.Schema,
 		keyIdx:    o.Schema.MustIndex(o.KeyCol),
 		buckets:   o.Buckets,

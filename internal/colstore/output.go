@@ -27,6 +27,19 @@ type RowOutput struct {
 
 // OpenWriter implements mr.OutputFormat.
 func (o *RowOutput) OpenWriter(ctx *mr.TaskContext, taskIndex int) (mr.RecordWriter, error) {
+	return o.open(ctx, o.Dir, taskIndex)
+}
+
+// OpenStaged implements mr.StagedOutput.
+func (o *RowOutput) OpenStaged(ctx *mr.TaskContext, taskIndex int) (mr.RecordWriter, func() error, func(), error) {
+	stage, commit, abort := stageAttempt(ctx, o.Dir, taskIndex)
+	w, err := o.open(ctx, stage, taskIndex)
+	return w, commit, abort, err
+}
+
+// open starts task taskIndex's part file under dir: the table's own
+// directory, or an attempt's staging directory inside it.
+func (o *RowOutput) open(ctx *mr.TaskContext, dir string, taskIndex int) (mr.RecordWriter, error) {
 	o.once.Do(func() {
 		if o.Schema == nil {
 			o.err = fmt.Errorf("colstore: RowOutput for %s has no schema", o.Dir)
@@ -39,7 +52,7 @@ func (o *RowOutput) OpenWriter(ctx *mr.TaskContext, taskIndex int) (mr.RecordWri
 	if o.err != nil {
 		return nil, o.err
 	}
-	path := fmt.Sprintf("%s/part-%05d", o.Dir, taskIndex)
+	path := fmt.Sprintf("%s/part-%05d", dir, taskIndex)
 	// Task re-execution may leave a stale partial file; replace it.
 	ctx.FS.Delete(path)
 	w, err := NewRowWriter(ctx.FS, path, ctx.Node().ID(), o.Schema, 0)
@@ -47,6 +60,27 @@ func (o *RowOutput) OpenWriter(ctx *mr.TaskContext, taskIndex int) (mr.RecordWri
 		return nil, err
 	}
 	return &rowOutputWriter{w: w, includeKey: o.IncludeKey}, nil
+}
+
+// stageAttempt names a task attempt's private staging directory inside dir
+// and returns the commit that moves the files written there into place —
+// replacing any earlier output of the task — and the abort that deletes
+// them. The directory's name starts with '_', which every reader of dir
+// skips.
+func stageAttempt(ctx *mr.TaskContext, dir string, taskIndex int) (stage string, commit func() error, abort func()) {
+	stage = fmt.Sprintf("%s/_attempt-%05d-%d", dir, taskIndex, ctx.Attempt)
+	commit = func() error {
+		for _, p := range ctx.FS.List(stage + "/") {
+			dst := dir + p[len(stage):]
+			ctx.FS.Delete(dst)
+			if err := ctx.FS.Rename(p, dst); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	abort = func() { ctx.FS.DeletePrefix(stage + "/") }
+	return stage, commit, abort
 }
 
 type rowOutputWriter struct {

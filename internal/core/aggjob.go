@@ -32,15 +32,11 @@ func (e *Engine) runAggJob(ctx context.Context, name string, sh *plan.Shape, inD
 	if len(sh.GroupBy) == 0 {
 		numReduce = 1
 	}
-	conf := mr.NewJobConf()
-	if e.opts.Speculative {
-		conf.SetBool(mr.ConfSpeculative, true)
-	}
 	gschema := sh.GroupSchema()
 	out := &mr.MemoryOutput{}
 	job := &mr.Job{
 		Name:   name,
-		Conf:   conf,
+		Conf:   e.jobConf(false),
 		Input:  &colstore.RowInput{Dir: inDir, Schema: inSchema},
 		Output: out,
 		NewMapper: func() mr.Mapper {

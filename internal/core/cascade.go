@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"clydesdale/internal/colstore"
-	"clydesdale/internal/expr"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
 	"clydesdale/internal/plan"
@@ -79,7 +78,8 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 	// bucketed on the first deep join key.
 	curDir := tmp + "/pass-1"
 	curSchema := p.Steps[head-1].Out
-	res, err := e.runCascadeStarPass(ctx, p, dims, headEdges, curDir, curSchema, buckets)
+	res, err := e.runJoinPass(ctx, "clydesdale-cascade-"+sh.Name+"-star", sh, dims, headEdges, "", p.Steps[0].In, curSchema,
+		&colstore.BucketRowOutput{Dir: curDir, Schema: curSchema, KeyCol: p.Steps[head].FK, Buckets: buckets})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s cascade star pass: %w", sh.Name, err)
 	}
@@ -128,215 +128,6 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 	report.fillScanStats(agg)
 	return rs, report, nil
 }
-
-// runCascadeStarPass joins the fact scan with every depth-1 dimension in
-// one map-only job (per-node shared hash tables, early-out probes) and
-// writes the output bucketed on the first deep join key.
-func (e *Engine) runCascadeStarPass(ctx context.Context, p *plan.Physical, dims dimView, headEdges []plan.JoinEdge, outDir string, outSchema *records.Schema, buckets int) (*mr.JobResult, error) {
-	sh := p.Shape
-	inSchema := p.Steps[0].In
-	readCols := inSchema.Names()
-	if !e.feats.ColumnarStorage {
-		readCols = e.cat.FactSchema.Names()
-		s, err := e.cat.FactSchema.Project(readCols...)
-		if err != nil {
-			return nil, err
-		}
-		inSchema = s
-	}
-	var hints []expr.Pred
-	if !e.opts.NoScanPruning {
-		hints = dims.fkPruneHints(headEdges)
-	}
-	// The cascade reads the fact table in its star pass only; deeper passes
-	// consume bucketed intermediates. Pin the partition list for this pass.
-	snap, err := e.snaps.Acquire(e.cat.FactDir)
-	if err != nil {
-		return nil, err
-	}
-	defer snap.Release()
-	input := &colstore.CIFInput{
-		Dir: e.cat.FactDir, Columns: readCols, Schema: e.cat.FactSchema, BlockRows: e.opts.BlockRows,
-		Snapshot: snap.Parts,
-		Pred:     sh.FactPred, PrunePreds: hints, EagerColumns: factFKs(headEdges),
-		DisablePruning: e.opts.NoScanPruning, DisableLateMat: true,
-	}
-
-	var factPred expr.RowPred
-	if sh.FactPred != nil {
-		fp, err := expr.CompilePred(sh.FactPred, inSchema)
-		if err != nil {
-			return nil, err
-		}
-		factPred = fp
-	}
-	dimDirs := make([]string, len(headEdges))
-	fkIdx := make([]int, len(headEdges))
-	for i := range headEdges {
-		edge := &headEdges[i]
-		dir, err := e.cat.DimDir(edge.Table)
-		if err != nil {
-			return nil, err
-		}
-		dimDirs[i] = dir
-		fkIdx[i] = inSchema.Index(edge.FK)
-		if fkIdx[i] < 0 {
-			return nil, fmt.Errorf("core: cascade fact read lacks FK %s", edge.FK)
-		}
-	}
-	srcs, err := outputSources(outSchema, inSchema, headEdges)
-	if err != nil {
-		return nil, err
-	}
-
-	eng := e
-	group := &nodeTableGroup{}
-	cfg := e.mr.Cluster().Config()
-	conf := mr.NewJobConf()
-	if e.feats.MultiThreaded {
-		conf.SetInt(mr.ConfTaskMemory, cfg.MemoryPerNode)
-		conf.SetBool(mr.ConfJVMReuse, true)
-		conf.SetInt(mr.ConfMultiSplitPack, int64(e.opts.MultiSplitPack))
-		conf.SetInt(mr.ConfMapThreads, int64(cfg.MapSlots))
-	}
-	job := &mr.Job{
-		Name:  "clydesdale-cascade-" + sh.Name + "-star",
-		Conf:  conf,
-		Input: input,
-		Output: &colstore.BucketRowOutput{
-			Dir: outDir, Schema: outSchema, KeyCol: p.Steps[len(headEdges)].FK, Buckets: buckets,
-		},
-		NewMapper: func() mr.Mapper {
-			return &cascadeStarMapper{
-				eng: eng, edges: headEdges, dimDirs: dimDirs, group: group,
-				factPred: factPred, fkIdx: fkIdx, srcs: srcs, outSchema: outSchema,
-			}
-		},
-		NumReduceTasks: 0,
-	}
-	return e.mr.Submit(ctx, job)
-}
-
-// outputSource locates one output column: a carried probe-stream column or
-// a dimension aux column.
-type outputSource struct {
-	factIdx int // >= 0: index in the probe stream's schema
-	dim     int // else: edges[dim].Aux[aux]
-	aux     int
-}
-
-// outputSources maps every field of out onto the probe stream or a
-// dimension's aux payload.
-func outputSources(out, in *records.Schema, edges []plan.JoinEdge) ([]outputSource, error) {
-	srcs := make([]outputSource, out.Len())
-	for i := 0; i < out.Len(); i++ {
-		name := out.Field(i).Name
-		if j := in.Index(name); j >= 0 {
-			srcs[i] = outputSource{factIdx: j, dim: -1}
-			continue
-		}
-		found := false
-		for d := range edges {
-			for a, auxCol := range edges[d].Aux {
-				if auxCol == name {
-					srcs[i] = outputSource{factIdx: -1, dim: d, aux: a}
-					found = true
-					break
-				}
-			}
-			if found {
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("core: cascade output column %s has no source", name)
-		}
-	}
-	return srcs, nil
-}
-
-// cascadeStarMapper probes every depth-1 dimension's per-node shared hash
-// table with early-out, like the single-pass star join, but assembles a
-// carried row instead of aggregating.
-type cascadeStarMapper struct {
-	eng       *Engine
-	edges     []plan.JoinEdge
-	dimDirs   []string
-	group     *nodeTableGroup
-	factPred  expr.RowPred
-	fkIdx     []int
-	srcs      []outputSource
-	outSchema *records.Schema
-
-	hts []*DimHashTable
-	aux [][]records.Value
-}
-
-// Setup implements mr.Mapper: build or fetch the node's shared tables for
-// all depth-1 dimensions.
-func (m *cascadeStarMapper) Setup(ctx *mr.TaskContext) error {
-	build := func() ([]*DimHashTable, error) {
-		start := time.Now()
-		hts := make([]*DimHashTable, len(m.edges))
-		for i := range m.edges {
-			h, err := BuildDimHashTable(ctx.FS, ctx.Node(), m.dimDirs[i], &m.edges[i])
-			if err != nil {
-				return nil, err
-			}
-			hts[i] = h
-			ctx.Counters.Add(CtrHashTablesBuilt, 1)
-		}
-		ctx.Counters.Add(CtrHashBuildNanos, time.Since(start).Nanoseconds())
-		ctx.Span(obs.PhaseHashBuild, start, "tables", fmt.Sprint(len(hts)))
-		return hts, nil
-	}
-	var err error
-	if !m.eng.feats.MultiThreaded {
-		m.hts, err = build()
-	} else {
-		var reused bool
-		m.hts, reused, err = m.group.do(ctx.Node().ID(), build)
-		if err == nil && reused {
-			ctx.Counters.Add(CtrHashReuses, 1)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	var mem int64
-	for _, h := range m.hts {
-		mem += h.MemBytes
-	}
-	m.aux = make([][]records.Value, len(m.hts))
-	return ctx.ReserveMemory(mem)
-}
-
-// Map implements mr.Mapper: early-out probe of every dimension, then emit
-// the carried row.
-func (m *cascadeStarMapper) Map(_, v records.Record, out mr.Collector) error {
-	if m.factPred != nil && !m.factPred(v) {
-		return nil
-	}
-	for i, h := range m.hts {
-		aux, ok := h.Probe(v.At(m.fkIdx[i]).Int64())
-		if !ok {
-			return nil
-		}
-		m.aux[i] = aux
-	}
-	row := make([]records.Value, len(m.srcs))
-	for i, s := range m.srcs {
-		if s.factIdx >= 0 {
-			row[i] = v.At(s.factIdx)
-		} else {
-			row[i] = m.aux[s.dim][s.aux]
-		}
-	}
-	return out.Collect(records.Record{}, records.Make(m.outSchema, row...))
-}
-
-// Cleanup implements mr.Mapper.
-func (m *cascadeStarMapper) Cleanup(mr.Collector) error { return nil }
 
 // writeCascadeSideTable selects a snowflake dimension's qualifying rows
 // from the driver's memoized copy and writes one blob per bucket (PK + aux
@@ -402,7 +193,7 @@ func (e *Engine) runCascadeJoinPass(ctx context.Context, name string, st *plan.S
 	outSchema := st.Out
 	job := &mr.Job{
 		Name:   "clydesdale-cascade-" + name + "-" + st.Table,
-		Conf:   mr.NewJobConf(),
+		Conf:   e.jobConf(false),
 		Input:  &colstore.BucketRowInput{Dir: inDir, Schema: inSchema},
 		Output: output,
 		NewMapper: func() mr.Mapper {

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"context"
+	"fmt"
+	"strconv"
 	"testing"
 
 	"clydesdale/internal/cluster"
@@ -9,6 +11,7 @@ import (
 	"clydesdale/internal/core"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
+	"clydesdale/internal/obs"
 	"clydesdale/internal/plan"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
@@ -37,6 +40,68 @@ func newEnv(t *testing.T, workers int, sf float64) *env {
 
 func (e *env) engine(opts core.Options) *core.Engine {
 	return core.New(e.mr, e.lay.Catalog(), opts)
+}
+
+// snowEnv is GenSnowflake(42) loaded on a three-node cluster: the dataset
+// whose generated queries the chooser runs as cascades.
+type snowEnv struct {
+	mr   *mr.Engine
+	snow *ssb.Snowflake
+	cat  *core.Catalog
+}
+
+func newSnowEnv(t *testing.T) *snowEnv {
+	t.Helper()
+	c := cluster.New(cluster.Testing(3))
+	fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 16, Seed: 42})
+	snow := ssb.GenSnowflake(42, 3000)
+	lay, err := ssb.LoadSnowflake(fs, snow, "/snow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &snowEnv{mr: mr.NewEngine(c, fs, mr.Options{}), snow: snow, cat: lay.Catalog(snow)}
+}
+
+func (e *snowEnv) engine(opts core.Options) *core.Engine {
+	return core.New(e.mr, e.cat, opts)
+}
+
+// cascade is one feasible cascade candidate with its reference answer.
+type cascade struct {
+	name string
+	plan *plan.Physical
+	want *results.ResultSet
+}
+
+// cascades returns the feasible cascade candidates of the first n random
+// snowflake queries, costed with eng's statistics.
+func (e *snowEnv) cascades(t *testing.T, eng *core.Engine, n int64) []cascade {
+	t.Helper()
+	var out []cascade
+	for qi := int64(0); qi < n; qi++ {
+		l := e.snow.RandomSnowQuery(qi)
+		st, err := eng.PlanStats(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands, err := plan.Candidates(l, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refexec.RunLogical(l, e.snow.Each)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range cands {
+			if p.Kind == plan.KindCascade && p.Feasible {
+				out = append(out, cascade{name: fmt.Sprintf("snow-q%d", qi), plan: p, want: want})
+			}
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("no feasible cascade candidate among the snowflake queries")
+	}
+	return out
 }
 
 // TestAllQueriesMatchReference is the headline integration test: every SSB
@@ -74,8 +139,20 @@ func TestAllQueriesMatchReference(t *testing.T) {
 	}
 }
 
-// TestAblationConfigsAgree reruns a grouped query under every Figure 9
-// configuration; results must be identical.
+// figure9Configs are the Figure 9 ablation configurations.
+var figure9Configs = map[string]core.Features{
+	"all":          core.DefaultFeatures(),
+	"no-block":     {ColumnarStorage: true, BlockIteration: false, MultiThreaded: true},
+	"no-columnar":  {ColumnarStorage: false, BlockIteration: true, MultiThreaded: true},
+	"no-threading": {ColumnarStorage: true, BlockIteration: true, MultiThreaded: false},
+	"none":         core.NoFeatures(),
+}
+
+// TestAblationConfigsAgree reruns a grouped query — as the star job and as
+// its staged plan — and the snowflake's cascade plans under every Figure 9
+// configuration; every answer must match the reference executor. With
+// multi-threading on, the cascade's head pass must probe on several
+// threads, as the star job does.
 func TestAblationConfigsAgree(t *testing.T) {
 	e := newEnv(t, 3, 0.002)
 	q, err := ssb.QueryByName("Q2.1")
@@ -86,14 +163,9 @@ func TestAblationConfigsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	configs := map[string]core.Features{
-		"all":          core.DefaultFeatures(),
-		"no-block":     {ColumnarStorage: true, BlockIteration: false, MultiThreaded: true},
-		"no-columnar":  {ColumnarStorage: false, BlockIteration: true, MultiThreaded: true},
-		"no-threading": {ColumnarStorage: true, BlockIteration: true, MultiThreaded: false},
-		"none":         core.NoFeatures(),
-	}
-	for name, f := range configs {
+	se := newSnowEnv(t)
+	cascades := se.cascades(t, se.engine(core.Options{}), 3)
+	for name, f := range figure9Configs {
 		feats := f
 		eng := e.engine(core.Options{Features: feats})
 		rs, _, err := eng.Run(context.Background(), q)
@@ -103,12 +175,34 @@ func TestAblationConfigsAgree(t *testing.T) {
 		if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
 			t.Errorf("config %s: %s", name, why)
 		}
+		rs, _, err = runStaged(eng, q)
+		if err != nil {
+			t.Fatalf("%s staged: %v", name, err)
+		}
+		if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
+			t.Errorf("config %s staged: %s", name, why)
+		}
+		snowEng := se.engine(core.Options{Features: feats})
+		for _, c := range cascades {
+			rs, rep, err := snowEng.RunPlan(context.Background(), c.plan)
+			if err != nil {
+				t.Fatalf("%s %s cascade: %v", name, c.name, err)
+			}
+			if ok, why := results.Equivalent(rs, c.want, 1e-9); !ok {
+				t.Errorf("config %s %s cascade: %s", name, c.name, why)
+			}
+			// The head pass is the only cascade pass the join runner runs.
+			if threads := rep.Job.Counters.Get(core.CtrProbeThreads); feats.MultiThreaded && threads <= 1 {
+				t.Errorf("config %s %s: cascade head pass probed on %d threads, want > 1", name, c.name, threads)
+			}
+		}
 	}
 }
 
 // TestHashTablesBuiltOncePerNode verifies §5's headline property: with
 // multi-threading + JVM reuse + one-task-per-node, the dimension hash
-// tables are computed exactly once per node per query.
+// tables are computed exactly once per node per query — and, for the
+// staged and cascade plans, once per node per join pass.
 func TestHashTablesBuiltOncePerNode(t *testing.T) {
 	e := newEnv(t, 3, 0.002)
 	q, _ := ssb.QueryByName("Q3.1")
@@ -139,6 +233,78 @@ func TestHashTablesBuiltOncePerNode(t *testing.T) {
 	if builds2 <= builds {
 		t.Errorf("single-threaded should build more tables (%d vs %d)", builds2, builds)
 	}
+
+	// The staged plan probes one table per pass, the cascade all depth-1
+	// tables in its head pass; every other job of those plans builds none.
+	se := newSnowEnv(t)
+	cascades := se.cascades(t, se.engine(core.Options{}), 1)
+	plans := []struct {
+		name    string
+		mr      *mr.Engine
+		perTask int64 // tables each join task builds
+		run     func(core.Options) (*core.Report, error)
+	}{
+		{"staged Q3.1", e.mr, 1, func(opts core.Options) (*core.Report, error) {
+			_, rep, err := runStaged(e.engine(opts), q)
+			return rep, err
+		}},
+		{"cascade " + cascades[0].name, se.mr, int64(headTables(cascades[0].plan)), func(opts core.Options) (*core.Report, error) {
+			_, rep, err := se.engine(opts).RunPlan(context.Background(), cascades[0].plan)
+			return rep, err
+		}},
+	}
+	for _, pl := range plans {
+		// Multi-threaded: one build span per (pass, node) that ran the
+		// pass, each building the pass's tables.
+		sink := obs.NewMemorySink()
+		pl.mr.SetTracer(obs.NewTracer(sink))
+		rep, err := pl.run(core.Options{})
+		pl.mr.SetTracer(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", pl.name, err)
+		}
+		perPassNode := map[string]int{}
+		var spanTables int64
+		for _, s := range sink.Spans() {
+			// Runner builds carry a table count; the cascade's side-bucket
+			// loads, also hash-build spans, do not.
+			if tables, ok := s.Attrs["tables"]; ok && s.Name == obs.PhaseHashBuild {
+				perPassNode[s.Job+"/"+s.Node]++
+				n, _ := strconv.ParseInt(tables, 10, 64)
+				spanTables += n
+			}
+		}
+		for k, n := range perPassNode {
+			if n != 1 {
+				t.Errorf("%s: pass/node %s built its tables %d times, want once", pl.name, k, n)
+			}
+		}
+		got := rep.Job.Counters.Get(core.CtrHashTablesBuilt)
+		if got == 0 || got != spanTables {
+			t.Errorf("%s multi-threaded: %d hash builds, %d in build spans", pl.name, got, spanTables)
+		}
+
+		// Single-threaded: every join task (one probe thread each) builds
+		// the pass's tables privately.
+		rep, err = pl.run(core.Options{Features: feats})
+		if err != nil {
+			t.Fatalf("%s single-threaded: %v", pl.name, err)
+		}
+		tasks := rep.Job.Counters.Get(core.CtrProbeThreads)
+		if got2 := rep.Job.Counters.Get(core.CtrHashTablesBuilt); tasks == 0 || got2 != pl.perTask*tasks {
+			t.Errorf("%s single-threaded: %d builds for %d join tasks, want %d", pl.name, got2, tasks, pl.perTask*tasks)
+		}
+	}
+}
+
+// headTables counts a cascade plan's depth-1 steps: the tables its head
+// pass probes.
+func headTables(p *plan.Physical) int {
+	n := 0
+	for n < len(p.Steps) && p.Steps[n].Depth == 1 {
+		n++
+	}
+	return n
 }
 
 // TestColumnarPruningReadsFewerBytes checks the I/O saving of CIF pruning.

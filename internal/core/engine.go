@@ -69,10 +69,11 @@ type Options struct {
 	// techniques on (DefaultFeatures); use NoFeatures() for the all-off
 	// baseline.
 	Features Features
-	// Tables, when non-nil, supplies the dimension hash tables for the
-	// single-pass plan instead of per-job builds — the hook a serving layer
-	// uses to share tables across queries. The provider owns node memory
-	// accounting and build instrumentation for the tables it hands out.
+	// Tables, when non-nil, supplies the dimension hash tables of every
+	// join pass (the star job, each staged pass, the cascade's head pass)
+	// instead of per-job builds — the hook a serving layer uses to share
+	// tables across queries. The provider owns node memory accounting and
+	// build instrumentation for the tables it hands out.
 	Tables TableProvider
 	// Reducers is the grouped-aggregation parallelism; <= 0 uses one per
 	// worker node (the paper's one reduce slot per node).
@@ -267,65 +268,27 @@ func (e *Engine) runStar(ctx context.Context, sh *plan.Shape) (*results.ResultSe
 		cols = sh.FactColumns()
 		sort.Strings(cols)
 	}
-	factSchema, err := e.factReaderSchema(cols)
+	runner, err := newAggRunner(e, sh)
 	if err != nil {
 		return nil, nil, err
 	}
-	runner, err := newStarJoinRunner(e, sh, factSchema)
+	input, release, err := e.factScan(sh, dims, cols)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	cfg := e.mr.Cluster().Config()
-	conf := mr.NewJobConf()
-	if e.feats.MultiThreaded {
-		// One map task per node (capacity scheduling via a whole-node memory
-		// request), JVM reuse for hash-table sharing across consecutive
-		// tasks, MultiCIF packing so each thread gets its own reader.
-		conf.SetInt(mr.ConfTaskMemory, cfg.MemoryPerNode)
-		conf.SetBool(mr.ConfJVMReuse, true)
-		conf.SetInt(mr.ConfMultiSplitPack, int64(e.opts.MultiSplitPack))
-		conf.SetInt(mr.ConfMapThreads, int64(cfg.MapSlots))
-	}
-	if e.opts.Speculative {
-		conf.SetBool(mr.ConfSpeculative, true)
-	}
+	defer release()
 
 	numReduce := e.opts.Reducers
 	if len(sh.GroupBy) == 0 {
 		numReduce = 1
 	}
-	var hints []expr.Pred
-	if !e.opts.NoScanPruning {
-		hints = dims.fkPruneHints(sh.Joins)
-	}
-	var filters []colstore.KeyFilter
-	if !e.opts.NoBloomPushdown {
-		filters = dims.semiJoinFilters(sh.Joins)
-	}
-	// Pin the fact partition list once, here at plan time: a roll-in,
-	// compaction, or retention landing while the job runs changes what
-	// ListPartitions would return, but not what this query scans.
-	snap, err := e.snaps.Acquire(e.cat.FactDir)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer snap.Release()
 	out := &mr.MemoryOutput{}
 	job := &mr.Job{
-		Name: "clydesdale-" + sh.Name,
-		Conf: conf,
-		Input: &colstore.CIFInput{
-			Dir: e.cat.FactDir, Columns: cols, Schema: e.cat.FactSchema, BlockRows: e.opts.BlockRows,
-			Snapshot: snap.Parts,
-			Pred:     sh.FactPred, PrunePreds: hints, EagerColumns: factFKs(sh.Joins), KeyFilters: filters,
-			DisablePruning: e.opts.NoScanPruning, DisableLateMat: e.opts.NoLateMaterialization,
-			DisableCodeSpacePreds: e.opts.NoCodeSpacePreds,
-		},
-		Output: out,
-		NewMapRunner: func() mr.MapRunner {
-			return runner
-		},
+		Name:           "clydesdale-" + sh.Name,
+		Conf:           e.jobConf(true),
+		Input:          input,
+		Output:         out,
+		NewMapRunner:   func() mr.MapRunner { return runner },
 		NewReducer:     func() mr.Reducer { return sumReducer{} },
 		NewCombiner:    func() mr.Reducer { return sumReducer{} },
 		NumReduceTasks: numReduce,
@@ -373,4 +336,54 @@ func (e *Engine) factReaderSchema(cols []string) (*records.Schema, error) {
 		return e.cat.FactSchema, nil
 	}
 	return e.cat.FactSchema.Project(cols...)
+}
+
+// jobConf is the configuration every query job starts from: speculative
+// execution when Options.Speculative asks for it and, for a map-side join
+// pass with multi-threading on, the §5.2 setup — one map task per node
+// (capacity scheduling via a whole-node memory request), JVM reuse for
+// hash-table sharing across consecutive tasks, and MultiCIF packing so each
+// thread gets its own reader.
+func (e *Engine) jobConf(joinPass bool) *mr.JobConf {
+	conf := mr.NewJobConf()
+	if e.opts.Speculative {
+		conf.SetBool(mr.ConfSpeculative, true)
+	}
+	if joinPass && e.feats.MultiThreaded {
+		cfg := e.mr.Cluster().Config()
+		conf.SetInt(mr.ConfTaskMemory, cfg.MemoryPerNode)
+		conf.SetBool(mr.ConfJVMReuse, true)
+		conf.SetInt(mr.ConfMultiSplitPack, int64(e.opts.MultiSplitPack))
+		conf.SetInt(mr.ConfMapThreads, int64(cfg.MapSlots))
+	}
+	return conf
+}
+
+// factScan is the fact-table input of a join pass reading cols (nil reads
+// every column) for the shape sh: the fact predicate, the FK-range prune
+// hints and semi-join blooms of its fact-side edges, and those edges' FKs
+// decoded eagerly, each subject to its ablation switch. It pins the fact
+// partition list at plan time — a roll-in, compaction, or retention landing
+// while the job runs changes what ListPartitions would return, but not what
+// the pass scans; call release once the job is done.
+func (e *Engine) factScan(sh *plan.Shape, dims dimView, cols []string) (in *colstore.CIFInput, release func(), err error) {
+	var hints []expr.Pred
+	if !e.opts.NoScanPruning {
+		hints = dims.fkPruneHints(sh.Joins)
+	}
+	var filters []colstore.KeyFilter
+	if !e.opts.NoBloomPushdown {
+		filters = dims.semiJoinFilters(sh.Joins)
+	}
+	snap, err := e.snaps.Acquire(e.cat.FactDir)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &colstore.CIFInput{
+		Dir: e.cat.FactDir, Columns: cols, Schema: e.cat.FactSchema, BlockRows: e.opts.BlockRows,
+		Snapshot: snap.Parts,
+		Pred:     sh.FactPred, PrunePreds: hints, EagerColumns: factFKs(sh.Joins), KeyFilters: filters,
+		DisablePruning: e.opts.NoScanPruning, DisableLateMat: e.opts.NoLateMaterialization,
+		DisableCodeSpacePreds: e.opts.NoCodeSpacePreds,
+	}, snap.Release, nil
 }

@@ -251,7 +251,7 @@ func BenchmarkAggregateEmit(b *testing.B) {
 	newRunner := func(combining bool) *starJoinRunner {
 		return &starJoinRunner{
 			eng:       &Engine{feats: Features{InMapperCombining: combining}},
-			sh:        &plan.Shape{Joins: make([]plan.JoinEdge, 2)},
+			edges:     make([]plan.JoinEdge, 2),
 			groupSrcs: []groupSrc{{dim: 0, aux: 0}, {dim: 1, aux: 0}},
 			gschema:   gschema,
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -30,28 +31,46 @@ const (
 	CtrCodeProbeRows  = "CLYDESDALE_CODE_PROBE_ROWS"
 )
 
-// starJoinRunner is Clydesdale's MTMapRunner (§5.1, Figure 5): it builds or
-// reuses the node's dimension hash tables, unpacks its multi-split into one
+// starJoinRunner is Clydesdale's MTMapRunner (§5.1, Figure 5) and the one
+// map-side join kernel every executor runs: it builds or reuses the node's
+// hash tables for the edges it probes, unpacks its multi-split into one
 // reader per thread, and runs the probe phase over all of them, sharing the
-// single copy of the hash tables.
+// single copy of the tables. What it emits per joined row is its output:
 //
-// One runner instance serves every task of the job (see Engine.runStar), so
-// the table group below is the per-job, per-node build cache — the Go
-// equivalent of the paper's JVM statics, minus the race two concurrent
-// tasks on one node would have hitting a load-then-store cache.
+//   - aggregate (the star job): the group key gathered from the aux values
+//     plus the measure, folded by the in-mapper combiner when enabled;
+//   - carry (each staged pass and the cascade head pass): one row of out,
+//     each column a carried probe-stream column or an aux value.
+//
+// One runner instance serves every task of the job (see runStar and
+// runJoinPass), so the table group below is the per-job, per-node build
+// cache — the Go equivalent of the paper's JVM statics, minus the race two
+// concurrent tasks on one node would have hitting a load-then-store cache.
 type starJoinRunner struct {
-	eng        *Engine
-	sh         *plan.Shape
-	factSchema *records.Schema // the projected fact schema the reader yields
-	groupSrcs  []groupSrc
-	gschema    *records.Schema
-	tables     nodeTableGroup
+	eng   *Engine
+	edges []plan.JoinEdge // the tables probed, keyed by probe-stream FKs
+	pred  expr.Pred       // re-checked per row; nil past the first pass
+
+	// Aggregate output.
+	agg       expr.Expr
+	groupSrcs []groupSrc
+	gschema   *records.Schema
+
+	// Carry output. Rows are collected through per-thread scratch, which
+	// is safe because the row outputs carry passes write to serialize each
+	// record as it is written.
+	out  *records.Schema
+	srcs []outputSource
+
+	tables nodeTableGroup
 }
 
 // groupSrc locates one group-by column inside a dimension's aux values.
 type groupSrc struct{ dim, aux int }
 
-func newStarJoinRunner(eng *Engine, sh *plan.Shape, factSchema *records.Schema) (*starJoinRunner, error) {
+// newAggRunner returns the star job's runner: it probes every edge of the
+// shape and aggregates the measure by the group-by columns.
+func newAggRunner(eng *Engine, sh *plan.Shape) (*starJoinRunner, error) {
 	srcs := make([]groupSrc, len(sh.GroupBy))
 	for gi, gcol := range sh.GroupBy {
 		found := false
@@ -68,12 +87,62 @@ func newStarJoinRunner(eng *Engine, sh *plan.Shape, factSchema *records.Schema) 
 		}
 	}
 	return &starJoinRunner{
-		eng:        eng,
-		sh:         sh,
-		factSchema: factSchema,
-		groupSrcs:  srcs,
-		gschema:    sh.GroupSchema(),
+		eng:       eng,
+		edges:     sh.Joins,
+		pred:      sh.FactPred,
+		agg:       sh.Agg,
+		groupSrcs: srcs,
+		gschema:   sh.GroupSchema(),
 	}, nil
+}
+
+// newCarryRunner returns a join pass's runner: it probes edges over a
+// stream of schema in, keeps rows satisfying pred (nil keeps all), and
+// emits one row of out per joined row.
+func newCarryRunner(eng *Engine, edges []plan.JoinEdge, pred expr.Pred, in, out *records.Schema) (*starJoinRunner, error) {
+	srcs, err := outputSources(out, in, edges)
+	if err != nil {
+		return nil, err
+	}
+	return &starJoinRunner{eng: eng, edges: edges, pred: pred, out: out, srcs: srcs}, nil
+}
+
+// outputSource locates one output column: a carried probe-stream column or
+// a dimension aux column.
+type outputSource struct {
+	factIdx int // >= 0: index in the probe stream's schema
+	dim     int // else: edges[dim].Aux[aux]
+	aux     int
+}
+
+// outputSources maps every field of out onto the probe stream or a
+// dimension's aux payload.
+func outputSources(out, in *records.Schema, edges []plan.JoinEdge) ([]outputSource, error) {
+	srcs := make([]outputSource, out.Len())
+	for i := 0; i < out.Len(); i++ {
+		name := out.Field(i).Name
+		if j := in.Index(name); j >= 0 {
+			srcs[i] = outputSource{factIdx: j, dim: -1}
+			continue
+		}
+		found := false
+		for d := range edges {
+			for a, auxCol := range edges[d].Aux {
+				if auxCol == name {
+					srcs[i] = outputSource{factIdx: -1, dim: d, aux: a}
+					found = true
+					break
+				}
+			}
+			if found {
+				break
+			}
+		}
+		if !found {
+			return nil, fmt.Errorf("core: join output column %s has no source", name)
+		}
+	}
+	return srcs, nil
 }
 
 // nodeTableGroup deduplicates hash-table builds across the concurrently
@@ -140,15 +209,15 @@ type TableProvider interface {
 func (r *starJoinRunner) hashTables(ctx *mr.TaskContext) ([]*DimHashTable, func(), error) {
 	noop := func() {}
 	if p := r.eng.opts.Tables; p != nil {
-		hts := make([]*DimHashTable, len(r.sh.Joins))
-		releases := make([]func(), 0, len(r.sh.Joins))
+		hts := make([]*DimHashTable, len(r.edges))
+		releases := make([]func(), 0, len(r.edges))
 		releaseAll := func() {
 			for _, rel := range releases {
 				rel()
 			}
 		}
-		for i := range r.sh.Joins {
-			edge := &r.sh.Joins[i]
+		for i := range r.edges {
+			edge := &r.edges[i]
 			dir, err := r.eng.cat.DimDir(edge.Table)
 			if err != nil {
 				releaseAll()
@@ -185,9 +254,9 @@ func (r *starJoinRunner) hashTables(ctx *mr.TaskContext) ([]*DimHashTable, func(
 
 func (r *starJoinRunner) buildHashTables(ctx *mr.TaskContext) ([]*DimHashTable, error) {
 	start := time.Now()
-	hts := make([]*DimHashTable, len(r.sh.Joins))
-	for i := range r.sh.Joins {
-		edge := &r.sh.Joins[i]
+	hts := make([]*DimHashTable, len(r.edges))
+	for i := range r.edges {
+		edge := &r.edges[i]
 		dir, err := r.eng.cat.DimDir(edge.Table)
 		if err != nil {
 			return nil, err
@@ -213,9 +282,10 @@ func (r *starJoinRunner) reserve(ctx *mr.TaskContext, hts []*DimHashTable) error
 }
 
 // probeScratch is one probe thread's reusable state: the per-row join
-// buffers, the boxed key/value records the legacy emit path hands to the
-// collector (safe to reuse — the map collector serializes immediately and
-// retains nothing), and the in-mapper aggregator when combining is on.
+// buffers, the boxed key/value records the emit path hands to the collector
+// (safe to reuse — the map collector and the row outputs serialize
+// immediately and retain nothing), and the in-mapper aggregator when
+// combining is on.
 type probeScratch struct {
 	auxRow  [][]records.Value
 	fkCols  [][]int64
@@ -224,20 +294,25 @@ type probeScratch struct {
 	keyVals []records.Value
 	keyRec  records.Record // wraps keyVals
 	valVals []records.Value
-	valRec  records.Record // wraps valVals
+	valRec  records.Record // wraps valVals: the partial aggregate or the carried row
 	keyBuf  []byte
 	agg     *groupAgg
 }
 
 func (r *starJoinRunner) newScratch() *probeScratch {
 	sc := &probeScratch{
-		auxRow:  make([][]records.Value, len(r.sh.Joins)),
-		fkCols:  make([][]int64, len(r.sh.Joins)),
-		fkCodes: make([][]uint32, len(r.sh.Joins)),
-		fkSide:  make([][]int32, len(r.sh.Joins)),
-		keyVals: make([]records.Value, len(r.groupSrcs)),
-		valVals: make([]records.Value, 1),
+		auxRow:  make([][]records.Value, len(r.edges)),
+		fkCols:  make([][]int64, len(r.edges)),
+		fkCodes: make([][]uint32, len(r.edges)),
+		fkSide:  make([][]int32, len(r.edges)),
 	}
+	if r.out != nil {
+		sc.valVals = make([]records.Value, len(r.srcs))
+		sc.valRec = records.Make(r.out, sc.valVals...)
+		return sc
+	}
+	sc.keyVals = make([]records.Value, len(r.groupSrcs))
+	sc.valVals = make([]records.Value, 1)
 	sc.keyRec = records.Make(r.gschema, sc.keyVals...)
 	sc.valRec = records.Make(aggValueSchema, sc.valVals...)
 	if r.eng.feats.InMapperCombining {
@@ -355,6 +430,46 @@ func (r *starJoinRunner) Run(ctx *mr.TaskContext, reader mr.RecordReader, out mr
 	return nil
 }
 
+// runJoinPass runs one map-only join pass of a staged or cascade plan: the
+// join runner probes edges over the pass's input and writes the carried
+// rows of out to output. The input is the fact table when inDir is "" —
+// read through the star job's scan (factScan) and filtered by the shape's
+// fact predicate — and otherwise the previous pass's row intermediate of
+// schema in.
+func (e *Engine) runJoinPass(ctx context.Context, name string, sh *plan.Shape, dims dimView, edges []plan.JoinEdge, inDir string, in, out *records.Schema, output mr.OutputFormat) (*mr.JobResult, error) {
+	var input mr.InputFormat
+	var pred expr.Pred
+	if inDir == "" {
+		var cols []string // nil reads whole rows (the columnar ablation)
+		if e.feats.ColumnarStorage {
+			cols = in.Names()
+		}
+		var err error
+		if in, err = e.factReaderSchema(cols); err != nil {
+			return nil, err
+		}
+		scan, release, err := e.factScan(sh, dims, cols)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		input, pred = scan, sh.FactPred
+	} else {
+		input = &colstore.RowInput{Dir: inDir, Schema: in}
+	}
+	runner, err := newCarryRunner(e, edges, pred, in, out)
+	if err != nil {
+		return nil, err
+	}
+	return e.mr.Submit(ctx, &mr.Job{
+		Name:         name,
+		Conf:         e.jobConf(true),
+		Input:        input,
+		Output:       output,
+		NewMapRunner: func() mr.MapRunner { return runner },
+	})
+}
+
 // probe drains one reader, choosing the block-iteration path when enabled
 // and available (§5.3).
 func (r *starJoinRunner) probe(ctx *mr.TaskContext, rd mr.RecordReader, hts []*DimHashTable, order []int, sc *probeScratch, out mr.Collector) error {
@@ -391,7 +506,7 @@ func (r *starJoinRunner) probeBlocks(ctx *mr.TaskContext, br colstore.BlockReade
 	var rows, emits, codeProbes int64
 
 	for {
-		if err := ctx.Err(); err != nil {
+		if err := r.poll(ctx); err != nil {
 			return err
 		}
 		blk, ok, err := br.NextBlock()
@@ -403,25 +518,22 @@ func (r *starJoinRunner) probeBlocks(ctx *mr.TaskContext, br colstore.BlockReade
 		}
 		if !compiled {
 			schema := blk.Schema()
-			if r.sh.FactPred != nil {
-				p, err := expr.CompileBlockPred(r.sh.FactPred, schema)
+			if r.pred != nil {
+				p, err := expr.CompileBlockPred(r.pred, schema)
 				if err != nil {
 					return err
 				}
 				pred = p
 			}
-			a, err := expr.CompileBlockNum(r.sh.Agg, schema)
-			if err != nil {
-				return err
-			}
-			agg = a
-			fkIdx = make([]int, len(r.sh.Joins))
-			for i, d := range r.sh.Joins {
-				ix := schema.Index(d.FK)
-				if ix < 0 {
-					return fmt.Errorf("core: fact reader schema %v lacks FK %s", schema, d.FK)
+			if r.agg != nil {
+				a, err := expr.CompileBlockNum(r.agg, schema)
+				if err != nil {
+					return err
 				}
-				fkIdx[i] = ix
+				agg = a
+			}
+			if fkIdx, err = r.fkIndexes(schema); err != nil {
+				return err
 			}
 			compiled = true
 		}
@@ -467,7 +579,13 @@ func (r *starJoinRunner) probeBlocks(ctx *mr.TaskContext, br colstore.BlockReade
 				}
 				auxRow[d] = aux
 			}
-			if err := r.emit(sc, out, agg(blk, i)); err != nil {
+			var err error
+			if agg != nil {
+				err = r.emit(sc, out, agg(blk, i))
+			} else {
+				err = r.carry(sc, out, blk, i, records.Record{})
+			}
+			if err != nil {
 				return err
 			}
 			emits++
@@ -479,8 +597,9 @@ func (r *starJoinRunner) probeBlocks(ctx *mr.TaskContext, br colstore.BlockReade
 	return nil
 }
 
-// probeRows is the row-at-a-time CIF path: one reader call and one boxed
-// record per row.
+// probeRows is the row-at-a-time path: one reader call and one boxed
+// record per row (the CIF ablation, and every pass over a row-file
+// intermediate).
 func (r *starJoinRunner) probeRows(ctx *mr.TaskContext, rd mr.RecordReader, hts []*DimHashTable, order []int, sc *probeScratch, out mr.Collector) error {
 	var pred expr.RowPred
 	var agg expr.RowNum
@@ -492,7 +611,7 @@ func (r *starJoinRunner) probeRows(ctx *mr.TaskContext, rd mr.RecordReader, hts 
 rowLoop:
 	for {
 		if rows%1024 == 0 {
-			if err := ctx.Err(); err != nil {
+			if err := r.poll(ctx); err != nil {
 				return err
 			}
 		}
@@ -505,25 +624,22 @@ rowLoop:
 		}
 		if !compiled {
 			schema := rec.Schema()
-			if r.sh.FactPred != nil {
-				p, err := expr.CompilePred(r.sh.FactPred, schema)
+			if r.pred != nil {
+				p, err := expr.CompilePred(r.pred, schema)
 				if err != nil {
 					return err
 				}
 				pred = p
 			}
-			a, err := expr.CompileNum(r.sh.Agg, schema)
-			if err != nil {
-				return err
-			}
-			agg = a
-			fkIdx = make([]int, len(r.sh.Joins))
-			for i, d := range r.sh.Joins {
-				ix := schema.Index(d.FK)
-				if ix < 0 {
-					return fmt.Errorf("core: fact reader schema %v lacks FK %s", schema, d.FK)
+			if r.agg != nil {
+				a, err := expr.CompileNum(r.agg, schema)
+				if err != nil {
+					return err
 				}
-				fkIdx[i] = ix
+				agg = a
+			}
+			if fkIdx, err = r.fkIndexes(schema); err != nil {
+				return err
 			}
 			compiled = true
 		}
@@ -538,7 +654,12 @@ rowLoop:
 			}
 			auxRow[d] = aux
 		}
-		if err := r.emit(sc, out, agg(rec)); err != nil {
+		if agg != nil {
+			err = r.emit(sc, out, agg(rec))
+		} else {
+			err = r.carry(sc, out, nil, 0, rec)
+		}
+		if err != nil {
 			return err
 		}
 		emits++
@@ -546,6 +667,31 @@ rowLoop:
 	ctx.Counters.Add(CtrProbeRows, rows)
 	ctx.Counters.Add(CtrProbeEmits, emits)
 	return nil
+}
+
+// poll reports why the attempt should stop probing: the job was canceled,
+// or a speculative sibling already finished the task.
+func (r *starJoinRunner) poll(ctx *mr.TaskContext) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if ctx.Superseded() {
+		return mr.ErrSuperseded
+	}
+	return nil
+}
+
+// fkIndexes resolves each probed edge's FK in the probe stream's schema.
+func (r *starJoinRunner) fkIndexes(schema *records.Schema) ([]int, error) {
+	fkIdx := make([]int, len(r.edges))
+	for i, d := range r.edges {
+		ix := schema.Index(d.FK)
+		if ix < 0 {
+			return nil, fmt.Errorf("core: probe stream schema %v lacks FK %s", schema, d.FK)
+		}
+		fkIdx[i] = ix
+	}
+	return fkIdx, nil
 }
 
 // emit gathers the group key from the joined aux values and either folds
@@ -563,6 +709,22 @@ func (r *starJoinRunner) emit(sc *probeScratch, out mr.Collector, measure float6
 	}
 	sc.valVals[0] = records.Float(measure)
 	return out.Collect(sc.keyRec, sc.valRec)
+}
+
+// carry collects the joined row of out: carried columns from the probe
+// stream (row i of blk, or rec on the row path) and the joined aux values.
+func (r *starJoinRunner) carry(sc *probeScratch, out mr.Collector, blk *records.RowBlock, i int, rec records.Record) error {
+	for j, src := range r.srcs {
+		switch {
+		case src.factIdx < 0:
+			sc.valVals[j] = sc.auxRow[src.dim][src.aux]
+		case blk != nil:
+			sc.valVals[j] = blk.Col(src.factIdx).Value(i)
+		default:
+			sc.valVals[j] = rec.At(src.factIdx)
+		}
+	}
+	return out.Collect(records.Record{}, sc.valRec)
 }
 
 // aggValueSchema is the map-output value: one partial aggregate.

@@ -141,6 +141,10 @@ type jobRun struct {
 
 	taskMem int64 // per-task memory requirement (allowance)
 	reuse   bool
+	// staged is set when map attempts write through StagedOutput and
+	// commit first-wins through mapSched (speculative map-only jobs).
+	staged   bool
+	mapSched *taskSched
 }
 
 // Submit runs the job to completion and returns its result. A canceled or
@@ -384,6 +388,15 @@ type taskSched struct {
 	completed int
 	total     int
 	aborted   error
+	// Delay scheduling counts a node's pass over remote work as a miss
+	// only if a live node holding pending work has had a scheduling turn
+	// (turns, compared against the node's snapshot in seen) since its last
+	// counted miss — so a node never gives up on locality before the nodes
+	// that hold the data have had a chance to claim it. gone marks nodes
+	// whose slot workers left the phase.
+	turns map[string]int
+	seen  map[string]map[string]int
+	gone  map[string]bool
 	// speculative enables backup attempts of running tasks once the pending
 	// queue drains; active tracks live attempts per task and doneSet the
 	// tasks that already completed (their late attempts are ignored).
@@ -404,6 +417,9 @@ type taskSched struct {
 	// specLaunched counts speculative backups for the job counters.
 	started      []int
 	specLaunched int64
+	// claimed marks tasks one of whose staged attempts holds the right to
+	// publish its output (see claimCommit).
+	claimed map[int]bool
 	// readyAt is when each task last became schedulable (phase start or
 	// requeue after a failed attempt); lastWait is the queue wait measured
 	// at the most recent assignment, read back by the slot worker for the
@@ -412,8 +428,8 @@ type taskSched struct {
 	lastWait []time.Duration
 }
 
-// delayTolerance is how many wake-ups a worker waits for local work before
-// settling for a remote task.
+// delayTolerance is how many scheduling turns of the nodes holding pending
+// work a worker waits for local work before settling for a remote task.
 const delayTolerance = 3
 
 func newTaskSched(kind string, total, capNode int, localOf func(int) []string) *taskSched {
@@ -428,8 +444,12 @@ func newTaskSched(kind string, total, capNode int, localOf func(int) []string) *
 		lastNode: make([]string, total),
 		running:  make(map[string]int),
 		misses:   make(map[string]int),
+		turns:    make(map[string]int),
+		seen:     make(map[string]map[string]int),
+		gone:     make(map[string]bool),
 		active:   make(map[int]int),
 		doneSet:  make(map[int]bool),
+		claimed:  make(map[int]bool),
 		started:  make([]int, total),
 		readyAt:  make([]time.Time, total),
 		lastWait: make([]time.Duration, total),
@@ -455,8 +475,11 @@ func (s *taskSched) next(node string) (task, attempt int, local, ok bool) {
 			return 0, 0, false, false
 		}
 		if s.isAlive != nil && !s.isAlive(node) {
+			s.gone[node] = true
 			return 0, 0, false, false
 		}
+		s.turns[node]++
+		s.gone[node] = false
 		if s.running[node] < s.capNode {
 			// First preference: a task whose data is local.
 			for t := range s.pending {
@@ -466,8 +489,6 @@ func (s *taskSched) next(node string) (task, attempt int, local, ok bool) {
 					}
 				}
 			}
-			// Delay scheduling: pass up remote work a few rounds, giving the
-			// nodes that hold the remaining splits a chance to claim them.
 			// Speculative execution: with nothing pending but tasks still
 			// running, launch a backup attempt on a different node.
 			if len(s.pending) == 0 && s.speculative {
@@ -478,26 +499,13 @@ func (s *taskSched) next(node string) (task, attempt int, local, ok bool) {
 					}
 				}
 			}
-			if len(s.pending) > 0 && s.misses[node] >= delayTolerance {
-				// Among remote candidates, avoid the node the task last
-				// failed on when any alternative exists.
-				best := -1
-				for t := range s.pending {
-					if s.lastNode[t] != node {
-						best = t
-						break
-					}
-					if best == -1 {
-						best = t
-					}
-				}
-				if best >= 0 {
-					s.misses[node] = 0
-					return s.assign(best, node, false)
-				}
+			// Remote work, subject to delay scheduling.
+			if t, ok := s.remote(node); ok {
+				s.misses[node] = 0
+				return s.assign(t, node, false)
 			}
 		}
-		s.misses[node]++
+		s.noteMiss(node)
 		if s.totalRun == 0 {
 			// Nothing in flight, so no completion will broadcast; yield
 			// briefly instead of waiting so other nodes' slot workers get
@@ -511,6 +519,62 @@ func (s *taskSched) next(node string) (task, attempt int, local, ok bool) {
 	}
 }
 
+// holder reports whether h is a live node, other than node, whose slot
+// workers are still in the phase — one that could claim its local work.
+func (s *taskSched) holder(h, node string) bool {
+	return h != node && !s.gone[h] && (s.isAlive == nil || s.isAlive(h))
+}
+
+// remote picks a pending task for node to run remotely. A task no holder
+// can claim goes at once — there is no local claimant to wait for. Any
+// other task waits until node has missed delayTolerance turns (delay
+// scheduling). Among candidates, the node the task last failed on is
+// avoided when an alternative exists.
+func (s *taskSched) remote(node string) (int, bool) {
+	best := -1
+pending:
+	for t := range s.pending {
+		if s.misses[node] < delayTolerance {
+			for _, h := range s.localOf(t) {
+				if s.holder(h, node) {
+					continue pending
+				}
+			}
+		}
+		if s.lastNode[t] != node {
+			return t, true
+		}
+		if best == -1 {
+			best = t
+		}
+	}
+	return best, best >= 0
+}
+
+// noteMiss records a pass in which node took no task. It counts as a
+// delay-scheduling miss only if a holder of pending work has had a
+// scheduling turn since node's last counted miss; a wall-clock yield or a
+// wake-up alone never does.
+func (s *taskSched) noteMiss(node string) {
+	seen := s.seen[node]
+	if seen == nil {
+		seen = make(map[string]int)
+		s.seen[node] = seen
+	}
+	moved := false
+	for t := range s.pending {
+		for _, h := range s.localOf(t) {
+			if s.holder(h, node) && s.turns[h] > seen[h] {
+				seen[h] = s.turns[h]
+				moved = true
+			}
+		}
+	}
+	if moved {
+		s.misses[node]++
+	}
+}
+
 func (s *taskSched) assign(t int, node string, local bool) (int, int, bool, bool) {
 	delete(s.pending, t)
 	s.running[node]++
@@ -520,6 +584,26 @@ func (s *taskSched) assign(t int, node string, local bool) (int, int, bool, bool
 	s.lastNode[t] = node
 	s.lastWait[t] = time.Since(s.readyAt[t])
 	return t, s.started[t], local, true
+}
+
+// claimCommit gives one attempt of a task the right to publish its staged
+// output: the first to ask while no sibling has committed or is committing.
+// A committer whose publish fails calls releaseCommit so a sibling (or a
+// retry) can commit instead.
+func (s *taskSched) claimCommit(t int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.doneSet[t] || s.claimed[t] {
+		return false
+	}
+	s.claimed[t] = true
+	return true
+}
+
+func (s *taskSched) releaseCommit(t int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.claimed, t)
 }
 
 // queueWait returns the queue wait of the task's most recent assignment;
@@ -622,18 +706,22 @@ func (s *taskSched) result(phase string) error {
 	return nil
 }
 
-// errSuperseded marks an attempt abandoned because a speculative sibling
-// finished first; it is not a failure.
-var errSuperseded = fmt.Errorf("mr: attempt superseded by a faster sibling")
+// ErrSuperseded marks an attempt abandoned because a speculative sibling
+// finished first; it is not a failure. A MapRunner that polls
+// TaskContext.Superseded returns it to abandon its work.
+var ErrSuperseded = fmt.Errorf("mr: attempt superseded by a faster sibling")
 
 func (run *jobRun) mapPhase() error {
 	sched := newTaskSched("m", len(run.splits), run.capPerNode(),
 		func(t int) []string { return run.splits[t].Locations() })
-	// Speculation is only safe when map output is buffered and committed
-	// first-wins (jobs with reducers); map-only jobs write straight to the
-	// OutputFormat, where a losing attempt's partial output would duplicate
-	// rows (Hadoop guards that case with an output committer).
-	sched.speculative = run.job.conf().GetBool(ConfSpeculative, false) && run.job.NumReduceTasks > 0
+	// Speculation is only safe when map output is committed first-wins:
+	// buffered map output of jobs with reducers, or a map-only job's
+	// StagedOutput. A map-only job writing straight to its OutputFormat
+	// would duplicate rows through a losing attempt's partial output.
+	_, staged := run.job.Output.(StagedOutput)
+	sched.speculative = run.job.conf().GetBool(ConfSpeculative, false) && (run.job.NumReduceTasks > 0 || staged)
+	run.staged = sched.speculative && run.job.NumReduceTasks == 0
+	run.mapSched = sched
 	// Eager requeue on node death shares the same first-wins requirement:
 	// the dead node's attempt may still be mid-write when its replacement
 	// starts.
@@ -662,7 +750,9 @@ func (run *jobRun) mapPhase() error {
 			wg.Add(1)
 			go func(n *cluster.Node) {
 				defer wg.Done()
-				for n.IsAlive() {
+				// next returns !ok once the node dies, noting that its
+				// workers left the phase.
+				for {
 					task, attempt, local, ok := sched.next(n.ID())
 					if !ok {
 						return
@@ -696,7 +786,7 @@ func (run *jobRun) mapPhase() error {
 						run.observeDur("mr.map.duration_ns", dur)
 					case err == nil:
 						// Successful loser of a speculative race; discarded.
-					case errors.Is(err, errSuperseded):
+					case errors.Is(err, ErrSuperseded):
 						// Abandoned backup; not a retryable failure.
 					case run.ctx.Err() != nil:
 						// Job canceled; the ctx watcher aborts the scheduler,
@@ -794,11 +884,17 @@ func (run *jobRun) executeMapAttempt(task int, node *cluster.Node, attempt int, 
 	var collector Collector
 	var mc *mapCollector
 	var writer RecordWriter
+	var commit func() error
+	abort := func() {}
 	if run.job.NumReduceTasks > 0 {
 		mc = newMapCollector(run.job.NumReduceTasks, run.job.Partitioner, run.counters)
 		collector = mc
 	} else {
-		writer, err = run.job.Output.OpenWriter(ctx, task)
+		if run.staged {
+			writer, commit, abort, err = run.job.Output.(StagedOutput).OpenStaged(ctx, task)
+		} else {
+			writer, err = run.job.Output.OpenWriter(ctx, task)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
@@ -814,12 +910,19 @@ func (run *jobRun) executeMapAttempt(task int, node *cluster.Node, attempt int, 
 	if err := runner.Run(ctx, reader, collector); err != nil {
 		if writer != nil {
 			writer.Close()
+			abort()
 		}
 		return nil, nil, err
 	}
 	if writer != nil {
 		if err := writer.Close(); err != nil {
+			abort()
 			return nil, nil, err
+		}
+		if commit != nil {
+			if err := run.commitAttempt(task, commit, abort); err != nil {
+				return nil, nil, err
+			}
 		}
 		ctx.Span(obs.PhaseMap, mapStart, "local", strconv.FormatBool(local), "jvm", jvmAttr)
 		return &mapOutput{node: node.ID()}, ctx.Phases(), nil
@@ -844,6 +947,22 @@ func (run *jobRun) executeMapAttempt(task int, node *cluster.Node, attempt int, 
 	}
 	ctx.Span(obs.PhaseSpill, spillStart, "bytes", strconv.FormatInt(spill, 10))
 	return out, ctx.Phases(), nil
+}
+
+// commitAttempt publishes a staged attempt's output if no sibling attempt
+// has committed the task or is committing it; a loser discards its output
+// and reports ErrSuperseded.
+func (run *jobRun) commitAttempt(task int, commit func() error, abort func()) error {
+	if !run.mapSched.claimCommit(task) {
+		abort()
+		return ErrSuperseded
+	}
+	if err := commit(); err != nil {
+		run.mapSched.releaseCommit(task)
+		abort()
+		return err
+	}
+	return nil
 }
 
 // defaultMapRunner is the stock record-at-a-time loop (§3).
@@ -871,7 +990,7 @@ func (r *defaultMapRunner) Run(ctx *TaskContext, reader RecordReader, out Collec
 				return err
 			}
 			if ctx.Superseded() {
-				return errSuperseded
+				return ErrSuperseded
 			}
 		}
 		ctx.Counters.Add(CtrMapInputRecords, 1)

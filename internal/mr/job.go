@@ -40,7 +40,8 @@ const (
 	// ConfSpeculative enables speculative execution of map tasks: when no
 	// pending tasks remain, idle slots launch backup attempts of still-
 	// running tasks; the first attempt to finish wins and the loser is
-	// cancelled (Hadoop's straggler mitigation).
+	// cancelled (Hadoop's straggler mitigation). A map-only job speculates
+	// only when its OutputFormat is a StagedOutput.
 	ConfSpeculative = "mr.speculative.maps"
 )
 
@@ -153,6 +154,18 @@ type RecordWriter interface {
 // OutputFormat opens per-task output writers.
 type OutputFormat interface {
 	OpenWriter(ctx *TaskContext, taskIndex int) (RecordWriter, error)
+}
+
+// StagedOutput is an OutputFormat that can keep a task attempt's output out
+// of sight until the attempt is chosen to publish it, as Hadoop's output
+// committer does. Only with one may a map-only job speculate: every attempt
+// writes staged, and the first attempt to finish commits.
+type StagedOutput interface {
+	OutputFormat
+	// OpenStaged opens a writer private to the attempt ctx runs. Once the
+	// writer is closed, commit publishes what it wrote as task taskIndex's
+	// output, replacing any earlier output of the task; abort discards it.
+	OpenStaged(ctx *TaskContext, taskIndex int) (w RecordWriter, commit func() error, abort func(), err error)
 }
 
 // Collector receives pairs emitted by mappers, combiners and reducers. It is

@@ -41,7 +41,9 @@ func (run *jobRun) reducePhase() error {
 			wg.Add(1)
 			go func(n *cluster.Node) {
 				defer wg.Done()
-				for n.IsAlive() {
+				// next returns !ok once the node dies, noting that its
+				// workers left the phase.
+				for {
 					task, attempt, _, ok := sched.next(n.ID())
 					if !ok {
 						return

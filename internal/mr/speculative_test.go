@@ -2,6 +2,8 @@ package mr
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -130,5 +132,67 @@ func TestSpeculationIgnoredForMapOnlyJobs(t *testing.T) {
 	}
 	if len(out.Pairs()) != 300 {
 		t.Errorf("output rows = %d, want 300", len(out.Pairs()))
+	}
+}
+
+// stagedOutput is a StagedOutput over memory: each attempt counts the rows
+// it writes privately, and a commit publishes that count as its task's.
+type stagedOutput struct {
+	mu        sync.Mutex
+	published map[int]int
+	commits   int
+}
+
+func (o *stagedOutput) OpenWriter(*TaskContext, int) (RecordWriter, error) {
+	return nil, errors.New("map-only speculation wrote unstaged output")
+}
+
+func (o *stagedOutput) OpenStaged(_ *TaskContext, task int) (RecordWriter, func() error, func(), error) {
+	w := &countingWriter{}
+	commit := func() error {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		o.published[task] = w.n
+		o.commits++
+		return nil
+	}
+	return w, commit, func() {}, nil
+}
+
+type countingWriter struct{ n int }
+
+func (w *countingWriter) Write(_, _ records.Record) error { w.n++; return nil }
+func (w *countingWriter) Close() error                    { return nil }
+
+// TestSpeculativeMapOnlyCommitsOnce: with a StagedOutput, a map-only job
+// speculates like one with reducers — the straggler's backup wins and the
+// straggler abandons — and exactly one attempt per task commits its output.
+func TestSpeculativeMapOnlyCommitsOnce(t *testing.T) {
+	e := newTestEngine(2)
+	const rows = 4000
+	out := &stagedOutput{published: map[int]int{}}
+	job := &Job{
+		Name:  "maponly-staged-spec",
+		Conf:  NewJobConf().SetBool(ConfSpeculative, true),
+		Input: &MemoryInput{SplitsList: []*MemorySplit{bigWordSplit("x", rows), bigWordSplit("y", 50)}},
+		NewMapper: func() Mapper {
+			return &stragglerMapper{slowTask: "m-0", delay: 2 * time.Millisecond}
+		},
+		Output: out,
+	}
+	start := time.Now()
+	res, err := e.Submit(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 4*time.Second {
+		t.Errorf("job took %v; speculation did not mitigate the straggler", elapsed)
+	}
+	if res.Counters.Get(CtrSpeculativeMaps) == 0 {
+		t.Error("no speculative attempts launched")
+	}
+	if out.commits != 2 || out.published[0] != rows || out.published[1] != 50 {
+		t.Errorf("commits = %d, published = %v; want one commit per task of %d and 50 rows",
+			out.commits, out.published, rows)
 	}
 }

@@ -134,13 +134,3 @@ func QueryByName(name string) (*plan.Logical, error) {
 	}
 	return nil, fmt.Errorf("ssb: unknown query %q", name)
 }
-
-// Flights groups the queries by flight number (1–4).
-func Flights() map[int][]*plan.Logical {
-	out := map[int][]*plan.Logical{}
-	for _, q := range Queries() {
-		f := int(q.Name[1] - '0')
-		out[f] = append(out[f], q)
-	}
-	return out
-}

@@ -332,3 +332,43 @@ func TestBenchGeneratorShape(t *testing.T) {
 		}
 	}
 }
+
+// PKOf returns the primary key column of a dimension table.
+func PKOf(table string) string {
+	switch table {
+	case TableCustomer:
+		return "c_custkey"
+	case TableSupplier:
+		return "s_suppkey"
+	case TablePart:
+		return "p_partkey"
+	case TableDate:
+		return "d_datekey"
+	}
+	return ""
+}
+
+// FKOf returns the fact-table foreign key referencing a dimension table.
+func FKOf(table string) string {
+	switch table {
+	case TableCustomer:
+		return "lo_custkey"
+	case TableSupplier:
+		return "lo_suppkey"
+	case TablePart:
+		return "lo_partkey"
+	case TableDate:
+		return "lo_orderdate"
+	}
+	return ""
+}
+
+// Flights groups the queries by flight number (1–4).
+func Flights() map[int][]*plan.Logical {
+	out := map[int][]*plan.Logical{}
+	for _, q := range Queries() {
+		f := int(q.Name[1] - '0')
+		out[f] = append(out[f], q)
+	}
+	return out
+}
